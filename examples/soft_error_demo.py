@@ -35,7 +35,8 @@ def run_once(seed: int, with_restore: bool):
     )
     pipeline.run(INJECT_CYCLE)
     rng = DeterministicRng(seed)
-    field, bit = pipeline.registry.pick_bit(rng, classes=LATCH_CLASSES)
+    index, bit = pipeline.registry.pick_bit(rng, classes=LATCH_CLASSES)
+    field = pipeline.registry.field(index)
     field.flip(bit)
     pipeline.run(3_000_000)
     wrong = bundle.check(pipeline.memory) if pipeline.halted else None

@@ -155,7 +155,8 @@ def cmd_inject(args: argparse.Namespace) -> int:
         raise SystemExit("the program ended before the injection cycle")
     rng = DeterministicRng(args.seed)
     classes = LATCH_CLASSES if args.latches_only else None
-    field, bit = pipeline.registry.pick_bit(rng, classes=classes)
+    index, bit = pipeline.registry.pick_bit(rng, classes=classes)
+    field = pipeline.registry.field(index)
     field.flip(bit)
     print(f"flipped bit {bit} of {field.name} "
           f"({field.state_class} state) at cycle {args.cycle}")

@@ -36,15 +36,8 @@ class StateBitFlip:
 
     ``target_classes`` optionally restricts injection to a subset of state
     classes (e.g. only ``latch`` for the Section 5.1.2 study); ``None``
-    targets all eligible state.
+    targets all eligible state. It is the ``classes`` filter of
+    :meth:`~repro.uarch.latches.StateRegistry.pick_bit`.
     """
 
     target_classes: tuple[str, ...] | None = None
-
-    def targets(self, registry) -> list:
-        """Eligible fields of a :class:`~repro.uarch.latches.StateRegistry`."""
-        fields = registry.injectable_fields()
-        if self.target_classes is None:
-            return fields
-        allowed = set(self.target_classes)
-        return [field for field in fields if field.state_class in allowed]

@@ -35,7 +35,6 @@ import warnings
 from collections.abc import Callable, Collection
 from dataclasses import dataclass, field
 
-from repro.arch.memory import SparseMemory
 from repro.cache import GoldenArtifactCache, UarchGoldenArtifact
 from repro.campaign.guard import TrialGuard
 from repro.campaign.outcomes import (
@@ -144,22 +143,6 @@ class UarchCampaignConfig:
         the other two detectors need the opt-in event streams.
         """
         return bool({"stall_outlier", "spurious_memop"} & set(self.detectors))
-
-
-@dataclass
-class _GoldenRun:
-    """Golden-run artifacts the trial comparators need.
-
-    Carries only final state and logs (not the pipeline object itself), so
-    the whole bundle round-trips through the golden-artifact cache.
-    """
-
-    retired: list
-    end_cycle: int
-    snapshots: dict[int, list[int]]
-    retired_at: dict[int, int]
-    final_arch_regs: list[int]
-    final_memory: "SparseMemory"
 
 
 @dataclass
@@ -348,14 +331,7 @@ def run_workload_trials(
             else None
         )
         if artifact is not None:
-            golden = _GoldenRun(
-                retired=artifact.retired,
-                end_cycle=artifact.end_cycle,
-                snapshots=artifact.snapshots,
-                retired_at=artifact.retired_at,
-                final_arch_regs=artifact.final_arch_regs,
-                final_memory=artifact.final_memory,
-            )
+            golden = artifact
             end_cycle = golden.end_cycle
             golden_cache = "hit"
         else:
@@ -377,19 +353,7 @@ def run_workload_trials(
             ]
             golden = _run_golden(bundle, config, inject_cycles=snapshot_cycles)
             if cache is not None:
-                cache.store(
-                    "uarch",
-                    bundle.program,
-                    config,
-                    UarchGoldenArtifact(
-                        end_cycle=golden.end_cycle,
-                        retired=golden.retired,
-                        snapshots=golden.snapshots,
-                        retired_at=golden.retired_at,
-                        final_arch_regs=golden.final_arch_regs,
-                        final_memory=golden.final_memory,
-                    ),
-                )
+                cache.store("uarch", bundle.program, config, golden)
                 golden_cache = "miss"
     except Exception as exc:
         reason = f"{type(exc).__name__}: {exc}"
@@ -422,8 +386,8 @@ def run_workload_trials(
             if key in completed:
                 continue
             trial_rng = wrng.child(f"trial:{point}:{index}")
-            field_index, flip_field, bit = _pick_bit(
-                prefix, config.fault_model, trial_rng
+            field_index, bit = prefix.registry.pick_bit(
+                trial_rng, classes=config.fault_model.target_classes
             )
             outcome = guard.run(
                 key, workload, point, index,
@@ -434,7 +398,7 @@ def run_workload_trials(
                     "level": "uarch",
                     "seed": config.seed,
                     "trial_seed": trial_rng.seed,
-                    "field": flip_field.name,
+                    "field": prefix.registry.field(field_index).name,
                     "bit": bit,
                 },
             )
@@ -449,15 +413,9 @@ def run_workload_trials(
     )
 
 
-def _pick_bit(prefix: Pipeline, fault_model: StateBitFlip, rng: DeterministicRng):
-    classes = fault_model.target_classes
-    registry = prefix.registry
-    flip_field, bit = registry.pick_bit(rng, classes=classes)
-    field_index = registry.fields.index(flip_field)
-    return field_index, flip_field, bit
-
-
-def _run_golden(bundle, config: UarchCampaignConfig, inject_cycles) -> _GoldenRun:
+def _run_golden(
+    bundle, config: UarchCampaignConfig, inject_cycles
+) -> UarchGoldenArtifact:
     pipeline = load_pipeline(
         bundle.program,
         collect_retired=True,
@@ -480,19 +438,14 @@ def _run_golden(bundle, config: UarchCampaignConfig, inject_cycles) -> _GoldenRu
             f"golden pipeline run of {bundle.name} did not halt "
             f"(exception={pipeline.exception_name()})"
         )
-    return _GoldenRun(
-        retired=pipeline.retired_log,
+    return UarchGoldenArtifact(
         end_cycle=pipeline.cycle_count,
+        retired=pipeline.retired_log,
         snapshots=snapshots,
         retired_at=retired_at,
         final_arch_regs=pipeline.arch_reg_values(),
         final_memory=pipeline.memory,
     )
-
-
-def _entry_index(name: str) -> int:
-    """Slot number from a registered field name like ``prf.value[37]``."""
-    return int(name[name.index("[") + 1:-1])
 
 
 def _latent_is_arch_relevant(faulty: Pipeline, diff_indices: list[int]) -> bool:
@@ -504,28 +457,24 @@ def _latent_is_arch_relevant(faulty: Pipeline, diff_indices: list[int]) -> bool:
     of any structure is dead state — the paper's failure-unlikely *other*.
     """
     mapped = set(faulty.arch_rat.map)
+    storebuf = faulty.storebuf
+    entry_payload = {id(storebuf.addr), id(storebuf.data), id(storebuf.size_log2)}
     for index in diff_indices:
-        flip_field = faulty.registry.fields[index]
-        if flip_field.structure == "arch_rat":
+        array, slot = faulty.registry.locate(index)
+        storage = array.storage
+        if storage is faulty.arch_rat.map or storage is storebuf.valid:
             return True
-        if flip_field.structure == "storebuf":
-            if flip_field.name.startswith("storebuf.valid"):
-                return True
-            if flip_field.name.startswith(
-                ("storebuf.addr", "storebuf.data", "storebuf.size")
-            ) and faulty.storebuf.valid[_entry_index(flip_field.name)]:
-                return True
-            continue
-        if flip_field.structure == "prf" and flip_field.name.startswith("prf.value"):
-            if _entry_index(flip_field.name) in mapped:
-                return True
+        if id(storage) in entry_payload and storebuf.valid[slot]:
+            return True
+        if storage is faulty.prf.values and slot in mapped:
+            return True
     return False
 
 
 def _run_trial(
     workload: str,
     prefix: Pipeline,
-    golden: _GoldenRun,
+    golden: UarchGoldenArtifact,
     config: UarchCampaignConfig,
     point: int,
     field_index: int,
@@ -533,7 +482,7 @@ def _run_trial(
 ) -> UarchTrialResult:
     faulty = prefix.fork()
     faulty.retired_log = []
-    flip_field = faulty.registry.fields[field_index]
+    flip_field = faulty.registry.field(field_index)
     flip_field.flip(bit)
 
     base = faulty.retired_count

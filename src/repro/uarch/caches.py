@@ -7,7 +7,9 @@ exist for three reasons: realistic load/fetch latencies, the cache/TLB
 a soft error can trigger, candidates for symptom-based detection), and —
 when the pipeline is built with ``memhier_targets`` — a memory-hierarchy
 fault surface: cache tag/valid/LRU state and the MSHR file register in the
-:class:`~repro.uarch.latches.StateRegistry` so campaigns can flip them.
+:class:`~repro.uarch.latches.StateRegistry` as injectable ``mem`` state so
+campaigns can flip them (otherwise they register as substrate, copied by
+forks but never flipped).
 
 Because the caches are tag-only (data never lives here), a corrupted tag,
 valid, or LRU bit can only perturb *timing* — spurious misses, spurious
@@ -46,7 +48,7 @@ class SetAssociativeCache:
     each, set-major): ``_tags``, ``_valid``, and ``_order``. The LRU order
     array holds way numbers, most-recent first within each set's span — the
     hardware's per-set recency stack encoded as one latch bank. Arrays are
-    mutated in place only, so registry closures and forks stay valid.
+    mutated in place only, so the registry's records and forks stay valid.
     """
 
     def __init__(self, sets: int, ways: int, line_bytes: int):
@@ -118,25 +120,29 @@ class SetAssociativeCache:
                 return True
         return False
 
-    def register_state(self, registry: "StateRegistry", structure: str) -> None:
-        """Expose tag/valid/LRU arrays as injectable ``mem``-class state."""
-        registry.register_list(
-            structure, "mem", f"{structure}.tag", self._tags, self.tag_bits
-        )
-        registry.register_list(
-            structure, "mem", f"{structure}.valid", self._valid, 1
-        )
-        registry.register_list(
-            structure, "mem", f"{structure}.lru", self._order, self.order_bits
-        )
+    def register_state(
+        self, registry: "StateRegistry", structure: str, injectable: bool = True
+    ) -> None:
+        """Register the tag/valid/LRU arrays as injectable ``mem``-class
+        state (substrate when not ``injectable``), the tallies as substrate."""
+        registry.register_substrate(self, "hits", "misses")
+        if not injectable:
+            registry.register_substrate(self, "_tags", "_valid", "_order")
+            return
+        for name, storage, width in (
+            ("tag", self._tags, self.tag_bits),
+            ("valid", self._valid, 1),
+            ("lru", self._order, self.order_bits),
+        ):
+            registry.register_list(structure, "mem", f"{structure}.{name}", storage, width)
 
 
 class Tlb:
     """Fully-associative TLB with FIFO replacement.
 
     The page list is variable-length (a Python-level FIFO), so it has no
-    fixed latch encoding to register; TLBs stay outside the injection
-    surface even under ``memhier_targets`` and are documented as such.
+    fixed latch encoding to inject into; TLBs register as substrate even
+    under ``memhier_targets``.
     """
 
     def __init__(self, entries: int, page_shift: int = 13):
@@ -157,6 +163,9 @@ class Tlb:
         if len(self._pages) > self.entries:
             self._pages.pop(0)
         return False
+
+    def register_state(self, registry: "StateRegistry") -> None:
+        registry.register_substrate(self, "_pages", "hits", "misses")
 
 
 class MshrFile:
@@ -211,10 +220,14 @@ class MshrFile:
             self._valid[slot] = 0
             self._addr[slot] = 0
 
-    def register_state(self, registry: "StateRegistry", structure: str = "mshr") -> None:
-        registry.register_list(
-            structure, "mem", f"{structure}.valid", self._valid, 1
-        )
+    def register_state(
+        self, registry: "StateRegistry", structure: str = "mshr", injectable: bool = True
+    ) -> None:
+        registry.register_substrate(self, "allocations", "overflows")
+        if not injectable:
+            registry.register_substrate(self, "_valid", "_addr")
+            return
+        registry.register_list(structure, "mem", f"{structure}.valid", self._valid, 1)
         registry.register_list(
             structure, "mem", f"{structure}.addr", self._addr, _ADDRESS_BITS
         )

@@ -1,12 +1,18 @@
-"""Bit-addressable state elements and the injection registry.
+"""The machine-state schema: injectable arrays plus copied substrate.
 
-Every latch and RAM cell of the pipeline registers itself here, giving the
-fault-injection framework a uniform view of the machine's state: it can
-count bits, pick a uniformly random (field, bit) pair, flip it, snapshot the
-whole machine, and diff two snapshots — exactly the operations the paper's
-latch-level campaigns need.
+Every piece of pipeline machine state registers here exactly once:
 
-State classes mirror the paper's taxonomy:
+- **Injectable** arrays are the latches and RAM cells the paper's
+  campaigns flip: one record per registered list, with a state class and
+  a per-slot bit width. The registry counts their bits, picks a uniformly
+  random (slot, bit) pair, flips it, snapshots the whole surface, and
+  diffs two snapshots — exactly the operations latch-level campaigns need.
+- **Substrate** is copied with the machine but never injected or counted:
+  predictor tables, TLBs, timing metadata, counters, status scalars, the
+  event wheel. :meth:`StateRegistry.copy_to` walks both kinds, which is
+  all :meth:`~repro.uarch.pipeline.Pipeline.fork` needs.
+
+Injectable state classes mirror the paper's taxonomy:
 
 - ``ram``  — SRAM arrays: physical register file, alias tables, free lists,
   fetch queue, store buffer ("structures that were implemented as SRAMs in
@@ -19,21 +25,24 @@ State classes mirror the paper's taxonomy:
   coverage is what protects them.
 - ``mem``  — memory-hierarchy metadata: cache tag/valid/LRU arrays and the
   MSHR file. The paper excludes these from its campaigns ("caches are
-  easily protected by ECC or parity"), so they register only when a
-  pipeline is built with ``memhier_targets`` — the opt-in fault surface
-  behind the miss-rate-spike / stall-outlier / spurious-memory-op
-  detector study. Tag-only caches make this class timing-only corruption:
-  it can never change an architectural value directly.
+  easily protected by ECC or parity"), so they are injectable only when a
+  pipeline is built with ``memhier_targets`` (substrate otherwise) — the
+  opt-in fault surface behind the miss-rate-spike / stall-outlier /
+  spurious-memory-op detector study. Tag-only caches make this class
+  timing-only corruption: it can never change an architectural value
+  directly.
 
-Predictor tables intentionally never register ("corrupt predictor table
-entries cannot lead to failure"), and TLBs stay excluded even under
-``memhier_targets`` — their FIFO page list has no fixed latch encoding.
+Predictor tables are always substrate ("corrupt predictor table entries
+cannot lead to failure"), and so are TLBs, even under ``memhier_targets``
+— their FIFO page list has no fixed latch encoding.
 """
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_right
-from typing import Callable
+from dataclasses import dataclass, field as dataclass_field
+from typing import Any, Callable
 
 from repro.util.rng import DeterministicRng
 
@@ -43,30 +52,42 @@ STATE_CLASSES = ("ram", "ctrl", "data", "mem")
 LATCH_CLASSES = ("ctrl", "data")
 
 
+@dataclass(eq=False, slots=True)
+class StateArray:
+    """One injectable array. ``start`` is the flat index of its slot 0 in
+    the numbering that snapshots, :meth:`StateRegistry.pick_bit`, and
+    :meth:`StateRegistry.diff_indices` share."""
+
+    name: str
+    structure: str
+    state_class: str
+    storage: list[int] = dataclass_field(repr=False)
+    width: int
+    on_set: Callable[[], None] | None
+    start: int
+
+
 class StateField:
-    """One named, fixed-width state element with get/set accessors."""
+    """A view of one slot of a :class:`StateArray`, built on demand."""
 
-    __slots__ = ("name", "structure", "state_class", "width", "get", "set")
+    __slots__ = ("array", "slot", "name", "structure", "state_class", "width")
 
-    def __init__(
-        self,
-        name: str,
-        structure: str,
-        state_class: str,
-        width: int,
-        get: Callable[[], int],
-        set: Callable[[int], None],
-    ):
-        if state_class not in STATE_CLASSES:
-            raise ValueError(f"unknown state class {state_class!r}")
-        if width <= 0:
-            raise ValueError(f"width must be positive, got {width}")
-        self.name = name
-        self.structure = structure
-        self.state_class = state_class
-        self.width = width
-        self.get = get
-        self.set = set
+    def __init__(self, array: StateArray, slot: int):
+        self.array = array
+        self.slot = slot
+        self.name = f"{array.name}[{slot}]"
+        self.structure = array.structure
+        self.state_class = array.state_class
+        self.width = array.width
+
+    def get(self) -> int:
+        return self.array.storage[self.slot]
+
+    def set(self, value: int) -> None:
+        """Write through the registry: masks to width and fires ``on_set``."""
+        self.array.storage[self.slot] = value & ((1 << self.width) - 1)
+        if self.array.on_set is not None:
+            self.array.on_set()
 
     def flip(self, bit: int) -> None:
         if not 0 <= bit < self.width:
@@ -78,27 +99,17 @@ class StateField:
 
 
 class StateRegistry:
-    """All injectable state of one pipeline instance."""
+    """The machine-state schema of one pipeline instance."""
 
     def __init__(self):
-        self.fields: list[StateField] = []
-        self._prefix_bits: list[int] | None = None
+        self.arrays: list[StateArray] = []
+        # (weakref to owner, attribute, clone) records.
+        self.substrate: list[tuple[weakref.ref, str, Callable | None]] = []
+        self._slots = 0
+        self._fields: list[StateField] | None = None
+        self._tables: dict = {}
 
     # ---------------------------------------------------------- registering
-
-    def register(
-        self,
-        name: str,
-        structure: str,
-        state_class: str,
-        width: int,
-        get: Callable[[], int],
-        set: Callable[[int], None],
-    ) -> StateField:
-        field = StateField(name, structure, state_class, width, get, set)
-        self.fields.append(field)
-        self._prefix_bits = None
-        return field
 
     def register_list(
         self,
@@ -109,110 +120,154 @@ class StateRegistry:
         width: int,
         on_set: Callable[[], None] | None = None,
     ) -> None:
-        """Register every slot of a list of ints (an SRAM array or a latch
-        bank). The list object must stay in place — slots are accessed by
-        index through closures.
+        """Register a list of ints (an SRAM array or a latch bank) as
+        injectable state. The list must stay in place, never rebound.
 
         ``on_set``, when given, fires after every write through the
-        registered setter — i.e. on fault injection (:meth:`StateField.flip`)
-        and on :meth:`restore`, but not on the structure's own direct list
-        writes. Structures use it to invalidate derived lookup indexes
-        (e.g. the scheduler's wakeup index) when state changes behind
-        their back."""
+        registry — fault injection (:meth:`StateField.flip`),
+        :meth:`restore`, and :meth:`copy_to` — but not on the structure's
+        own direct list writes. Structures use it to invalidate derived
+        lookup indexes (e.g. the scheduler's wakeup index) when state
+        changes behind their back."""
+        if state_class not in STATE_CLASSES:
+            raise ValueError(f"unknown state class {state_class!r}")
+        if width <= 0:
+            raise ValueError(f"width must be positive, got {width}")
+        self.arrays.append(StateArray(
+            base_name, structure, state_class, storage, width, on_set, self._slots
+        ))
+        self._slots += len(storage)
+        self._fields = None
+        self._tables.clear()
 
-        def make_get(index: int) -> Callable[[], int]:
-            return lambda: storage[index]
+    def register_substrate(
+        self, owner: Any, *attributes: str, clone: Callable | None = None
+    ) -> None:
+        """Register attributes of ``owner`` as substrate: copied by
+        :meth:`copy_to`, never injected, counted, or snapshotted. Lists
+        are copied in place; other values are rebound, through ``clone``
+        when they hold mutable containers.
 
-        def make_set(index: int) -> Callable[[int], None]:
-            mask = (1 << width) - 1
+        Owners are held weakly: a pipeline registers its own status
+        scalars, and a strong reference back to it would make every fork a
+        reference cycle that outlives its trial until the cyclic garbage
+        collector happens to run."""
+        ref = weakref.ref(owner)
+        self.substrate.extend((ref, attribute, clone) for attribute in attributes)
 
-            if on_set is None:
-
-                def setter(value: int, index: int = index) -> None:
-                    storage[index] = value & mask
-
-                return setter
-
-            def notifying_setter(value: int, index: int = index) -> None:
-                storage[index] = value & mask
-                on_set()
-
-            return notifying_setter
-
-        for index in range(len(storage)):
-            self.register(
-                f"{base_name}[{index}]",
-                structure,
-                state_class,
-                width,
-                make_get(index),
-                make_set(index),
-            )
+    def copy_to(self, other: "StateRegistry") -> None:
+        """Copy every registered value into ``other``, a registry built by
+        the same constructor (so both schemas line up record by record)."""
+        for mine, theirs in zip(self.arrays, other.arrays, strict=True):
+            theirs.storage[:] = mine.storage
+            if theirs.on_set is not None:
+                theirs.on_set()
+        for (owner_ref, attribute, clone), (target_ref, _, _) in zip(
+            self.substrate, other.substrate, strict=True
+        ):
+            value = getattr(owner_ref(), attribute)
+            target = target_ref()
+            if clone is not None:
+                setattr(target, attribute, clone(value))
+            elif type(value) is list:
+                getattr(target, attribute)[:] = value
+            else:
+                setattr(target, attribute, value)
 
     # ------------------------------------------------------------- queries
 
-    def injectable_fields(self) -> list[StateField]:
-        return list(self.fields)
+    @property
+    def fields(self) -> list[StateField]:
+        """One view per injectable slot, in flat-index order (built lazily
+        for reports; per-trial code resolves single indexes with
+        :meth:`field`)."""
+        if self._fields is None:
+            self._fields = [
+                StateField(array, slot)
+                for array in self.arrays
+                for slot in range(len(array.storage))
+            ]
+        return self._fields
 
-    def fields_of_classes(self, classes: tuple[str, ...]) -> list[StateField]:
-        allowed = set(classes)
-        return [field for field in self.fields if field.state_class in allowed]
+    def locate(self, index: int) -> tuple[StateArray, int]:
+        """The array and slot behind a flat slot index."""
+        if not 0 <= index < self._slots:
+            raise IndexError(f"slot index {index} out of range")
+        position = bisect_right(self.arrays, index, key=lambda array: array.start)
+        array = self.arrays[position - 1]
+        return array, index - array.start
+
+    def field(self, index: int) -> StateField:
+        return StateField(*self.locate(index))
 
     def total_bits(self, classes: tuple[str, ...] | None = None) -> int:
-        fields = self.fields if classes is None else self.fields_of_classes(classes)
-        return sum(field.width for field in fields)
+        _, ends = self._table(classes)
+        return ends[-1] if ends else 0
 
     def bits_by_structure(self) -> dict[str, int]:
         totals: dict[str, int] = {}
-        for field in self.fields:
-            totals[field.structure] = totals.get(field.structure, 0) + field.width
+        for array in self.arrays:
+            bits = len(array.storage) * array.width
+            totals[array.structure] = totals.get(array.structure, 0) + bits
         return totals
 
     # ------------------------------------------------------------ sampling
 
-    def _prefix(self, fields: list[StateField]) -> list[int]:
-        prefix = []
-        total = 0
-        for field in fields:
-            total += field.width
-            prefix.append(total)
-        return prefix
+    def _table(self, classes: tuple[str, ...] | None) -> tuple[list, list[int]]:
+        """The (optionally class-filtered) arrays and their cumulative bit
+        ends, cached per class tuple."""
+        key = None if classes is None else tuple(classes)
+        if key not in self._tables:
+            arrays = [a for a in self.arrays if key is None or a.state_class in key]
+            ends, total = [], 0
+            for array in arrays:
+                total += len(array.storage) * array.width
+                ends.append(total)
+            self._tables[key] = (arrays, ends)
+        return self._tables[key]
 
     def pick_bit(
         self,
         rng: DeterministicRng,
         classes: tuple[str, ...] | None = None,
-    ) -> tuple[StateField, int]:
-        """Uniformly pick one bit across all (optionally filtered) state."""
-        fields = self.fields if classes is None else self.fields_of_classes(classes)
-        if not fields:
+    ) -> tuple[int, int]:
+        """Uniformly pick one bit across all (optionally filtered) state.
+
+        Returns ``(index, bit)``: the flat slot index (resolve it with
+        :meth:`field`) and the bit within that slot. One ``randrange``
+        over the filtered bit total, so the draw matches a per-slot
+        bisection exactly."""
+        arrays, ends = self._table(classes)
+        if not ends or not ends[-1]:
             raise ValueError("no fields to pick from")
-        if classes is None:
-            if self._prefix_bits is None:
-                self._prefix_bits = self._prefix(self.fields)
-            prefix = self._prefix_bits
-        else:
-            prefix = self._prefix(fields)
-        bit_index = rng.randrange(prefix[-1])
-        field_index = bisect_right(prefix, bit_index)
-        field = fields[field_index]
-        offset = bit_index - (prefix[field_index - 1] if field_index else 0)
-        return field, offset
+        bit_index = rng.randrange(ends[-1])
+        position = bisect_right(ends, bit_index)
+        array = arrays[position]
+        slot, bit = divmod(bit_index - (ends[position - 1] if position else 0),
+                           array.width)
+        return array.start + slot, bit
 
     # ----------------------------------------------------------- snapshots
 
     def snapshot(self) -> list[int]:
-        """Values of every field, in registration order."""
-        return [field.get() for field in self.fields]
+        """Values of every injectable slot, in flat-index order."""
+        values: list[int] = []
+        for array in self.arrays:
+            values.extend(array.storage)
+        return values
 
     def restore(self, snapshot: list[int]) -> None:
-        if len(snapshot) != len(self.fields):
+        if len(snapshot) != self._slots:
             raise ValueError("snapshot length mismatch")
-        for field, value in zip(self.fields, snapshot):
-            field.set(value)
+        for array in self.arrays:
+            mask = (1 << array.width) - 1
+            end = array.start + len(array.storage)
+            array.storage[:] = [value & mask for value in snapshot[array.start:end]]
+            if array.on_set is not None:
+                array.on_set()
 
     def diff_indices(self, a: list[int], b: list[int]) -> list[int]:
-        """Indices of fields whose values differ between two snapshots."""
+        """Flat indices of slots whose values differ between two snapshots."""
         if len(a) != len(b):
             raise ValueError("snapshot length mismatch")
         return [index for index, (x, y) in enumerate(zip(a, b)) if x != y]

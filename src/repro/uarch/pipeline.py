@@ -61,6 +61,11 @@ from repro.util.bitops import MASK64
 _ALU_CLASSES = (InstClass.ALU, InstClass.MULTIPLY)
 
 
+def _copy_wheel(events: dict[int, list[tuple]]) -> dict[int, list[tuple]]:
+    """Fork-time copy of the event wheel (event tuples are immutable)."""
+    return {cycle: list(bucket) for cycle, bucket in events.items()}
+
+
 @dataclass(frozen=True, slots=True)
 class RetiredInst:
     """One retired instruction, as recorded for golden/faulty comparison."""
@@ -102,6 +107,7 @@ class Pipeline:
         fast: bool = True,
         memhier_targets: bool = False,
         record_memhier_symptoms: bool = False,
+        decode_cache: dict | None = None,
     ):
         self.config = config or PipelineConfig()
         self.memory = memory
@@ -112,7 +118,7 @@ class Pipeline:
         self.registry = StateRegistry()
         cfg = self.config
 
-        # Storage structures (registered, injectable).
+        # Storage structures (injectable, plus their substrate bookkeeping).
         self.fetchq = FetchQueue(cfg, self.registry)
         self.prf = PhysicalRegisterFile(cfg, self.registry)
         self.spec_rat = RegisterAliasTable("spec_rat", cfg, self.registry)
@@ -127,9 +133,10 @@ class Pipeline:
         self._fetch_pc = [entry_pc]
         self.registry.register_list("fetch", "data", "fetch.pc", self._fetch_pc, 64)
 
-        # Predictors and caches (excluded from injection by default; the
-        # caches and MSHR file register as "mem"-class state when the
-        # memory-hierarchy fault surface is enabled).
+        # Predictors and caches: substrate, excluded from injection as in
+        # the paper — except that the caches and MSHR file register as
+        # "mem"-class injectable state when the memory-hierarchy fault
+        # surface is enabled.
         self.predictor = CombiningPredictor(cfg)
         self.btb = BranchTargetBuffer(cfg.btb_entries)
         self.ras = ReturnAddressStack(cfg.ras_entries)
@@ -141,12 +148,19 @@ class Pipeline:
         self.dtlb = Tlb(cfg.dtlb_entries)
         self.mshr = MshrFile(cfg.mshr_entries)
         self.memhier_targets = memhier_targets
-        if memhier_targets:
-            self.icache.register_state(self.registry, "icache")
-            self.dcache.register_state(self.registry, "dcache")
-            self.mshr.register_state(self.registry, "mshr")
+        self.icache.register_state(self.registry, "icache", memhier_targets)
+        self.dcache.register_state(self.registry, "dcache", memhier_targets)
+        self.mshr.register_state(self.registry, "mshr", memhier_targets)
+        self.itlb.register_state(self.registry)
+        self.dtlb.register_state(self.registry)
+        substrate = self.registry.register_substrate
+        substrate(self.predictor, "bimodal", "gshare", "chooser", "history")
+        substrate(self.btb, "tags", "targets")
+        substrate(self.ras, "stack", "top")
+        substrate(self.confidence, "table")
+        substrate(self.memdep, "table")
 
-        # Machine status.
+        # Machine status (substrate, registered below).
         self.cycle_count = 0
         self.retired_count = 0
         # Monotonic count of retirements, never rewound by ReStore rollback
@@ -161,7 +175,7 @@ class Pipeline:
         self.hc_mispredict_count = 0
         self.branch_count = 0
 
-        # Fetch status (wiring, not latched state).
+        # Fetch status (timing, not latched state).
         self._fetch_stalled_until = 0
         self._fetch_faulted = False  # stop fetching past a faulting fetch
 
@@ -171,6 +185,15 @@ class Pipeline:
         # Event wheel: cycle -> list of event tuples.
         self._events: dict[int, list[tuple]] = {}
         self._next_seq = 1
+        self._spurious_flagged = False  # edge trigger of spurious_memop
+        substrate(
+            self, "cycle_count", "retired_count", "total_retired", "halted",
+            "stopped", "exception", "deadlock", "watchdog_counter",
+            "mispredict_count", "hc_mispredict_count", "branch_count",
+            "_fetch_stalled_until", "_fetch_faulted", "store_buffer_gated",
+            "_next_seq", "_spurious_flagged",
+        )
+        substrate(self, "_events", clone=_copy_wheel)
 
         # Observability.
         self.retired_log: list[RetiredInst] | None = [] if collect_retired else None
@@ -181,7 +204,6 @@ class Pipeline:
         # accounting check behind the latter), so pipelines that never asked
         # for memory-hierarchy symptoms pay nothing for them.
         self.record_memhier_symptoms = record_memhier_symptoms
-        self._spurious_flagged = False
         # Hook invoked when an exception reaches the ROB head or the
         # watchdog saturates; a ReStore controller installs itself here.
         # Signature: handler(kind: str, payload) -> bool (True = handled).
@@ -206,12 +228,15 @@ class Pipeline:
         self.preg_free_hook = None
 
         # Decode cache: pure word -> decoded record (or None for an illegal
-        # word). The fast path caches flattened PredecodedInst records so
-        # classification is paid once per distinct word instead of through
-        # property calls on every access; the reference path caches plain
-        # DecodedInst exactly as the unoptimised pipeline did. Both types
-        # expose the same read interface, so all stage code is shared.
-        self._decode_cache: dict[int, DecodedInst | PredecodedInst | None] = {}
+        # word), so forks share their parent's. The fast path caches
+        # flattened PredecodedInst records so classification is paid once
+        # per distinct word instead of through property calls on every
+        # access; the reference path caches plain DecodedInst exactly as
+        # the unoptimised pipeline did. Both types expose the same read
+        # interface, so all stage code is shared.
+        self._decode_cache: dict[int, DecodedInst | PredecodedInst | None] = (
+            {} if decode_cache is None else decode_cache
+        )
         # Per-cycle scratch reused by the issue stage (fast path only).
         self._issue_scratch: list[tuple[int, int]] = []
         # Fast-path fetch cache: pc -> (word, decoded) for instructions on
@@ -1367,9 +1392,9 @@ class Pipeline:
 
         Fault campaigns run one golden pipeline forward and fork it at each
         injection point, so a trial only pays for the post-injection window
-        instead of a whole run from reset. Registered state is copied via
-        the registry; unregistered substrate (memory image, predictor and
-        cache arrays, timing metadata, event wheel) is copied explicitly.
+        instead of a whole run from reset. The memory image is cloned
+        copy-on-write; everything else — injectable arrays and substrate
+        alike — is copied by walking the state schema.
         """
         copy = Pipeline(
             self.memory.clone(),
@@ -1380,68 +1405,9 @@ class Pipeline:
             fast=self.fast,
             memhier_targets=self.memhier_targets,
             record_memhier_symptoms=self.record_memhier_symptoms,
+            decode_cache=self._decode_cache,
         )
-        copy.registry.restore(self.registry.snapshot())
-        # Predictors.
-        copy.predictor.bimodal[:] = self.predictor.bimodal
-        copy.predictor.gshare[:] = self.predictor.gshare
-        copy.predictor.chooser[:] = self.predictor.chooser
-        copy.predictor.history = self.predictor.history
-        copy.btb.tags[:] = self.btb.tags
-        copy.btb.targets[:] = self.btb.targets
-        copy.ras.stack[:] = self.ras.stack
-        copy.ras.top = self.ras.top
-        copy.confidence.table[:] = self.confidence.table
-        copy.memdep.table[:] = self.memdep.table
-        # Caches, TLBs, and the MSHR file. Storage is copied in place —
-        # rebinding the lists would orphan any registry closures over them
-        # — and the hit/miss tallies come along so a fork's miss-rate
-        # telemetry continues from the parent instead of restarting at
-        # zero. (Under memhier_targets the registry restore above already
-        # wrote the registered arrays; these assignments are then no-ops.)
-        for mine, theirs in (
-            (self.icache, copy.icache),
-            (self.dcache, copy.dcache),
-        ):
-            theirs._tags[:] = mine._tags
-            theirs._valid[:] = mine._valid
-            theirs._order[:] = mine._order
-            theirs.hits = mine.hits
-            theirs.misses = mine.misses
-        for mine, theirs in ((self.itlb, copy.itlb), (self.dtlb, copy.dtlb)):
-            theirs._pages[:] = mine._pages
-            theirs.hits = mine.hits
-            theirs.misses = mine.misses
-        copy.mshr._valid[:] = self.mshr._valid
-        copy.mshr._addr[:] = self.mshr._addr
-        copy.mshr.allocations = self.mshr.allocations
-        copy.mshr.overflows = self.mshr.overflows
-        copy._spurious_flagged = self._spurious_flagged
-        # Machine status.
-        copy.cycle_count = self.cycle_count
-        copy.retired_count = self.retired_count
-        copy.total_retired = self.total_retired
-        copy.halted = self.halted
-        copy.stopped = self.stopped
-        copy.exception = self.exception
-        copy.deadlock = self.deadlock
-        copy.watchdog_counter = self.watchdog_counter
-        copy.mispredict_count = self.mispredict_count
-        copy.hc_mispredict_count = self.hc_mispredict_count
-        copy.branch_count = self.branch_count
-        copy._fetch_stalled_until = self._fetch_stalled_until
-        copy._fetch_faulted = self._fetch_faulted
-        copy.store_buffer_gated = self.store_buffer_gated
-        # Timing metadata and the event wheel (tuples are immutable).
-        copy._events = {cycle: list(events) for cycle, events in self._events.items()}
-        copy._next_seq = self._next_seq
-        copy.rob.seq[:] = self.rob.seq
-        copy.sched.seq[:] = self.sched.seq
-        copy.fetchq.ready_cycle[:] = self.fetchq.ready_cycle
-        copy.storebuf.total_pushed = self.storebuf.total_pushed
-        copy.storebuf.total_popped = self.storebuf.total_popped
-        # The decode cache is pure and safely shared.
-        copy._decode_cache = self._decode_cache
+        self.registry.copy_to(copy.registry)
         return copy
 
     # -------------------------------------------------- architectural views

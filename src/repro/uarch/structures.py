@@ -1,7 +1,8 @@
 """Pipeline storage structures.
 
-Each structure owns parallel lists of integer fields and registers every
-slot with the :class:`~repro.uarch.latches.StateRegistry`. Field widths
+Each structure owns parallel lists of integer fields and registers each
+list with the :class:`~repro.uarch.latches.StateRegistry` — as injectable
+state, or as substrate for timing metadata and bookkeeping. Field widths
 match structure sizes exactly (a 6-bit ROB index for a 64-entry ROB, a
 7-bit physical register number for 128 registers, ...), so a corrupted
 field always holds an in-range — but possibly wrong — value, exactly like
@@ -61,7 +62,7 @@ class FetchQueue:
         self.conf = [0] * size
         self.fetch_fault = [0] * size
         self.hist = [0] * size
-        self.ready_cycle = [0] * size  # unregistered timing metadata
+        self.ready_cycle = [0] * size  # timing metadata (substrate)
         self._head = [0]
         self._tail = [0]
         index_bits = _bits_for(size)
@@ -75,6 +76,7 @@ class FetchQueue:
         registry.register_list("fetchq", "ram", "fetchq.hist", self.hist, config.history_bits)
         registry.register_list("fetchq", "data", "fetchq.head", self._head, index_bits)
         registry.register_list("fetchq", "data", "fetchq.tail", self._tail, index_bits)
+        registry.register_substrate(self, "ready_cycle")
 
     @property
     def head(self) -> int:
@@ -247,7 +249,7 @@ class Scheduler:
         self.src2_ready = [0] * size
         self.src3_preg = [0] * size
         self.src3_ready = [0] * size
-        # Unregistered bookkeeping: sequence tag guarding slot reuse against
+        # Bookkeeping (substrate): sequence tag guarding slot reuse against
         # events that belong to a squashed previous occupant.
         self.seq = [0] * size
         self.use_wakeup_index = True
@@ -268,6 +270,7 @@ class Scheduler:
         registry.register_list("sched", "ctrl", "sched.src3_preg", self.src3_preg,
                                preg_bits, on_set=invalidate)
         registry.register_list("sched", "ctrl", "sched.src3_ready", self.src3_ready, 1)
+        registry.register_substrate(self, "seq")
 
     def find_free(self) -> int | None:
         for index in range(self.size):
@@ -392,7 +395,7 @@ class ReorderBuffer:
         self._head = [0]
         self._tail = [0]
         self._count = [0]
-        # Unregistered bookkeeping: a monotonically increasing sequence
+        # Bookkeeping (substrate): a monotonically increasing sequence
         # number guarding in-flight events against squashed entries.
         self.seq = [0] * size
         registry.register_list("rob", "ctrl", "rob.valid", self.valid, 1)
@@ -420,6 +423,7 @@ class ReorderBuffer:
         registry.register_list("rob", "data", "rob.head", self._head, index_bits)
         registry.register_list("rob", "data", "rob.tail", self._tail, index_bits)
         registry.register_list("rob", "data", "rob.count", self._count, index_bits + 1)
+        registry.register_substrate(self, "seq")
 
     @property
     def head(self) -> int:
@@ -572,6 +576,7 @@ class StoreBuffer:
         index_bits = _bits_for(size)
         registry.register_list("storebuf", "data", "storebuf.head", self._head, index_bits)
         registry.register_list("storebuf", "data", "storebuf.tail", self._tail, index_bits)
+        registry.register_substrate(self, "total_pushed", "total_popped")
 
     @property
     def head(self) -> int:

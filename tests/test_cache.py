@@ -17,11 +17,12 @@ from repro.cache import (
     SCHEMA_VERSION,
     CacheCorruptionWarning,
     GoldenArtifactCache,
+    UarchGoldenArtifact,
     program_digest,
 )
 from repro.campaign import run_campaign
 from repro.faults import ArchCampaignConfig, UarchCampaignConfig
-from repro.faults import arch_campaign
+from repro.faults import arch_campaign, uarch_campaign
 from repro.service import (
     CampaignScheduler,
     JobSpec,
@@ -343,6 +344,26 @@ class TestUarchCampaignIdentity:
         assert len(reports["uncached"].result.trials) == (
             config.trials_per_workload
         )
+
+    def test_golden_run_artifact_loads_back_as_a_hit(
+        self, tmp_path, config, gcc_bundle
+    ):
+        golden = uarch_campaign._run_golden(
+            gcc_bundle, config, inject_cycles=[400, 900]
+        )
+        assert isinstance(golden, UarchGoldenArtifact)
+        cache = GoldenArtifactCache(str(tmp_path))
+        assert cache.store("uarch", gcc_bundle.program, config, golden)
+        loaded = cache.load("uarch", gcc_bundle.program, config)
+        assert (cache.hits, cache.misses) == (1, 0)
+        assert type(loaded) is UarchGoldenArtifact
+        assert loaded.end_cycle == golden.end_cycle
+        assert loaded.retired == golden.retired
+        assert loaded.snapshots == golden.snapshots
+        assert sorted(loaded.snapshots) == [400, 900]
+        assert loaded.retired_at == golden.retired_at
+        assert loaded.final_arch_regs == golden.final_arch_regs
+        assert loaded.final_memory.equals(golden.final_memory)
 
 
 class TestSnapshotFastForward:

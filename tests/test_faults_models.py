@@ -25,12 +25,22 @@ class TestStateBitFlip:
     def test_targets_all_by_default(self):
         registry = load_pipeline(build_workload("gcc").program).registry
         model = StateBitFlip()
-        assert len(model.targets(registry)) == len(registry.fields)
+        assert registry.total_bits(model.target_classes) == registry.total_bits()
+        rng = DeterministicRng(3)
+        classes = {
+            registry.field(registry.pick_bit(rng, model.target_classes)[0]).state_class
+            for _ in range(400)
+        }
+        assert classes == {"ram", "ctrl", "data"}
 
     def test_targets_filtered_by_class(self):
         registry = load_pipeline(build_workload("gcc").program).registry
         model = StateBitFlip(target_classes=LATCH_CLASSES)
-        targets = model.targets(registry)
-        assert targets
-        assert all(field.state_class in LATCH_CLASSES for field in targets)
-        assert len(targets) < len(registry.fields)
+        latch_bits = registry.total_bits(model.target_classes)
+        assert 0 < latch_bits < registry.total_bits()
+        rng = DeterministicRng(3)
+        for _ in range(200):
+            index, bit = registry.pick_bit(rng, model.target_classes)
+            field = registry.field(index)
+            assert field.state_class in LATCH_CLASSES
+            assert 0 <= bit < field.width

@@ -42,8 +42,8 @@ def paired_fault_outcomes():
                 controller = ReStoreController(pipeline, interval=100)
             pipeline.run(inject_cycle)
             pick = DeterministicRng(seed).child("bit")
-            field, bit = pipeline.registry.pick_bit(pick, classes=LATCH_CLASSES)
-            field.flip(bit)
+            index, bit = pipeline.registry.pick_bit(pick, classes=LATCH_CLASSES)
+            pipeline.registry.field(index).flip(bit)
             pipeline.run(3_000_000)
             per_fault[config] = (outcome_of(pipeline, bundle), controller)
         results.append(per_fault)

@@ -70,8 +70,8 @@ class TestFaultRecovery:
         controller = ReStoreController(pipeline, interval=interval, **kwargs)
         pipeline.run(warmup)
         rng = DeterministicRng(seed)
-        field, bit = pipeline.registry.pick_bit(rng, classes=classes)
-        field.flip(bit)
+        index, bit = pipeline.registry.pick_bit(rng, classes=classes)
+        pipeline.registry.field(index).flip(bit)
         pipeline.run(2_000_000)
         return bundle, pipeline, controller
 

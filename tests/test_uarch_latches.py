@@ -30,12 +30,12 @@ class TestRegistration:
     def test_width_validation(self):
         registry = StateRegistry()
         with pytest.raises(ValueError):
-            registry.register("x", "s", "ram", 0, lambda: 0, lambda v: None)
+            registry.register_list("s", "ram", "x", [0], 0)
 
     def test_state_class_validation(self):
         registry = StateRegistry()
         with pytest.raises(ValueError):
-            registry.register("x", "s", "bogus", 1, lambda: 0, lambda v: None)
+            registry.register_list("s", "bogus", "x", [0], 1)
 
     def test_latch_classes(self):
         assert set(LATCH_CLASSES) == {"ctrl", "data"}
@@ -61,8 +61,9 @@ class TestAccessors:
 
     def test_fields_of_classes(self):
         registry, _, _ = build_registry()
-        assert len(registry.fields_of_classes(("ram",))) == 4
-        assert len(registry.fields_of_classes(("ram", "ctrl"))) == 6
+        assert [f.state_class for f in registry.fields] == ["ram"] * 4 + ["ctrl"] * 2
+        assert registry.total_bits(("ram",)) == 4 * 8
+        assert registry.total_bits(("ram", "ctrl")) == registry.total_bits()
 
 
 class TestSampling:
@@ -71,7 +72,8 @@ class TestSampling:
         rng = DeterministicRng(42)
         counts = {"alpha": 0, "beta": 0}
         for _ in range(3000):
-            field, bit = registry.pick_bit(rng)
+            index, bit = registry.pick_bit(rng)
+            field = registry.field(index)
             counts[field.structure] += 1
             assert 0 <= bit < field.width
         # alpha has 32 of 38 bits ~ 84%.
@@ -82,8 +84,8 @@ class TestSampling:
         registry, _, _ = build_registry()
         rng = DeterministicRng(1)
         for _ in range(50):
-            field, _ = registry.pick_bit(rng, classes=("ctrl",))
-            assert field.state_class == "ctrl"
+            index, _ = registry.pick_bit(rng, classes=("ctrl",))
+            assert registry.field(index).state_class == "ctrl"
 
     def test_pick_bit_empty_filter(self):
         registry, _, _ = build_registry()
