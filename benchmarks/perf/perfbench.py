@@ -15,6 +15,9 @@ machine-independent ratios
 - ``arch_lockstep_speedup`` — lockstep batch-trial scheduler vs. the
   serial per-trial path, golden-run time excluded via a shared
   golden-artifact cache (both legs run warm)
+- ``uarch_lockstep_speedup`` — the same comparison for a uarch campaign:
+  forks paced with the prefix walk and retired once their state heals,
+  vs. every fork running its whole window
 
 Results are written as schema'd JSON (see ``SCHEMA``). Usage::
 
@@ -44,7 +47,7 @@ if os.path.isdir(os.path.join(_REPO_ROOT, "src")):
 from repro import __version__  # noqa: E402
 from repro.arch.simulator import ArchSimulator, load_program  # noqa: E402
 from repro.campaign import run_campaign  # noqa: E402
-from repro.faults import ArchCampaignConfig  # noqa: E402
+from repro.faults import ArchCampaignConfig, UarchCampaignConfig  # noqa: E402
 from repro.uarch.pipeline import Pipeline, load_pipeline  # noqa: E402
 from repro.workloads import build_workload  # noqa: E402
 
@@ -60,9 +63,12 @@ SCALES = {
         "uarch_max_cycles": 4_000,
         "campaign": {"trials_per_workload": 12, "injection_points": 6,
                      "workloads": ("gzip", "mcf")},
-        "lockstep_campaign": {"trials_per_workload": 60,
-                              "injection_points": 10,
-                              "workloads": ("gzip", "mcf", "parser")},
+        "arch_lockstep_campaign": {"trials_per_workload": 60,
+                                   "injection_points": 10,
+                                   "workloads": ("gzip", "mcf", "parser")},
+        "uarch_lockstep_campaign": {"trials_per_workload": 60,
+                                    "injection_points": 10,
+                                    "workloads": ("gzip", "mcf", "parser")},
     },
     "full": {
         "min_seconds": 2.0,
@@ -71,11 +77,16 @@ SCALES = {
         "uarch_max_cycles": 8_000,
         "campaign": {"trials_per_workload": 40, "injection_points": 10,
                      "workloads": ("gzip", "mcf", "parser")},
-        "lockstep_campaign": {"trials_per_workload": 120,
-                              "injection_points": 20,
-                              "workloads": ("gzip", "mcf", "parser")},
+        "arch_lockstep_campaign": {"trials_per_workload": 120,
+                                   "injection_points": 20,
+                                   "workloads": ("gzip", "mcf", "parser")},
+        "uarch_lockstep_campaign": {"trials_per_workload": 120,
+                                    "injection_points": 20,
+                                    "workloads": ("gzip", "mcf", "parser")},
     },
 }
+
+CAMPAIGN_CONFIGS = {"arch": ArchCampaignConfig, "uarch": UarchCampaignConfig}
 
 SEED = 2005
 ARCH_MAX_INSTRUCTIONS = 400_000
@@ -129,19 +140,19 @@ def _uarch_pipeline(bundle, reference: bool) -> Pipeline:
 
 
 def _bench_campaign(campaign_cfg: dict, lockstep: bool = True,
-                    cache_dir: str | None = None):
-    """End-to-end arch fault-injection campaign trials per second."""
-    config = ArchCampaignConfig(seed=SEED, **campaign_cfg)
+                    cache_dir: str | None = None, level: str = "arch"):
+    """End-to-end fault-injection campaign trials per second."""
+    config = CAMPAIGN_CONFIGS[level](seed=SEED, **campaign_cfg)
     start = time.perf_counter()
     report = run_campaign(
-        "arch", config, cache_dir=cache_dir, lockstep=lockstep
+        level, config, cache_dir=cache_dir, lockstep=lockstep
     )
     elapsed = time.perf_counter() - start
     trials = len(report.result.trials)
     return trials / elapsed, trials
 
 
-def _bench_lockstep_speedup(campaign_cfg: dict):
+def _bench_lockstep_speedup(campaign_cfg: dict, level: str = "arch"):
     """Lockstep vs. serial trial throughput, golden-run time excluded.
 
     Both legs run against a pre-warmed golden-artifact cache, so the
@@ -149,13 +160,13 @@ def _bench_lockstep_speedup(campaign_cfg: dict):
     actually changes — and stays machine-independent enough to gate.
     """
     with tempfile.TemporaryDirectory(prefix="repro-perf-cache-") as cache_dir:
-        config = ArchCampaignConfig(seed=SEED, **campaign_cfg)
-        run_campaign("arch", config, cache_dir=cache_dir)  # warm the cache
+        config = CAMPAIGN_CONFIGS[level](seed=SEED, **campaign_cfg)
+        run_campaign(level, config, cache_dir=cache_dir)  # warm the cache
         lock_rate, trials = _bench_campaign(
-            campaign_cfg, lockstep=True, cache_dir=cache_dir
+            campaign_cfg, lockstep=True, cache_dir=cache_dir, level=level
         )
         serial_rate, _ = _bench_campaign(
-            campaign_cfg, lockstep=False, cache_dir=cache_dir
+            campaign_cfg, lockstep=False, cache_dir=cache_dir, level=level
         )
     return lock_rate, serial_rate, trials
 
@@ -200,18 +211,20 @@ def run_benchmarks(scale: str, with_reference: bool = True) -> dict:
         "details": {"trials": trials, **knobs["campaign"]},
     }
 
-    lock_rate, serial_rate, lock_trials = _bench_lockstep_speedup(
-        knobs["lockstep_campaign"]
-    )
-    metrics["arch_lockstep_speedup"] = {
-        "value": round(lock_rate / serial_rate, 2), "unit": "x",
-        "details": {
-            "lockstep_trials_per_sec": round(lock_rate, 2),
-            "serial_trials_per_sec": round(serial_rate, 2),
-            "trials": lock_trials,
-            **knobs["lockstep_campaign"],
-        },
-    }
+    for level in ("arch", "uarch"):
+        knob = f"{level}_lockstep_campaign"
+        lock_rate, serial_rate, lock_trials = _bench_lockstep_speedup(
+            knobs[knob], level
+        )
+        metrics[f"{level}_lockstep_speedup"] = {
+            "value": round(lock_rate / serial_rate, 2), "unit": "x",
+            "details": {
+                "lockstep_trials_per_sec": round(lock_rate, 2),
+                "serial_trials_per_sec": round(serial_rate, 2),
+                "trials": lock_trials,
+                **knobs[knob],
+            },
+        }
 
     if with_reference and _supports_reference_paths():
         ref_arch, _ = _bench_arch(

@@ -62,7 +62,7 @@ if TYPE_CHECKING:
 #: Bumped whenever the pickled artifact layout changes; part of the key,
 #: so old entries become unreachable (and reclaimable via ``cache clear``)
 #: rather than misread.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class CacheCorruptionWarning(UserWarning):
@@ -95,7 +95,11 @@ class ArchGoldenArtifact:
 
 @dataclass(frozen=True)
 class UarchGoldenArtifact:
-    """The cacheable outputs of both uarch golden pipeline runs."""
+    """The cacheable outputs of both uarch golden pipeline runs.
+
+    ``hc_mispredicts`` holds the ``(cycle, retired)`` of every
+    ``hc_mispredict`` symptom golden fired (schema v3): a lockstep shadow
+    that heals fires golden's symptoms for the rest of its window."""
 
     end_cycle: int
     retired: list
@@ -103,6 +107,7 @@ class UarchGoldenArtifact:
     retired_at: dict[int, int]
     final_arch_regs: list[int]
     final_memory: "SparseMemory"
+    hc_mispredicts: tuple[tuple[int, int], ...]
 
 
 @dataclass

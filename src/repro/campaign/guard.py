@@ -64,10 +64,14 @@ def _warn_no_timeout(reason: str) -> None:
 
 
 @contextmanager
-def _wall_clock_limit(seconds: float | None):
+def _wall_clock_limit(seconds: float | None, spent: float = 0.0):
+    """Interrupt the body once ``seconds`` of budget are used up, of which
+    ``spent`` went to earlier slices of the same trial."""
     if not seconds:
         yield
         return
+    if spent >= seconds:
+        raise TrialTimeout(f"trial exceeded {seconds:g}s wall-clock budget")
     if not timeout_supported():
         _warn_no_timeout(
             "SIGALRM timers require POSIX signal support and the main thread"
@@ -87,7 +91,7 @@ def _wall_clock_limit(seconds: float | None):
         _warn_no_timeout(str(exc))
         yield
         return
-    signal.setitimer(signal.ITIMER_REAL, seconds)
+    signal.setitimer(signal.ITIMER_REAL, seconds - spent)
     try:
         yield
     finally:
@@ -136,6 +140,16 @@ class TrialGuard:
             key=key, workload=workload, point=point, index=index,
             status=OUTCOME_OK, record=record,
         )
+
+    def limit(self, spent: float = 0.0):
+        """The wall-clock limit on one slice of a trial that runs in
+        several (a uarch lockstep shadow steps chunk by chunk, outside
+        :meth:`run`): what is left of the per-trial budget after ``spent``
+        seconds. An overrun raises :class:`TrialTimeout`, with the message
+        :meth:`run` records for a serial trial: inside the slice where
+        ``SIGALRM`` can interrupt it, and on entering the next slice even
+        where it cannot."""
+        return _wall_clock_limit(self.timeout, spent)
 
     def _error_payload(
         self, exc: BaseException, descriptor: dict | None, with_traceback: bool

@@ -76,10 +76,13 @@ class ExecutionPolicy:
 
     ``jobs=None`` means "use every core" (``os.cpu_count()``);
     ``cache_dir=None`` disables the golden-artifact cache. ``lockstep``
-    selects the arch campaign's batched execution strategy (see
-    :mod:`repro.faults.lockstep`) — journals are byte-identical either
-    way, which is why it lives here and not in the scientific config; it
-    is ignored by uarch campaigns.
+    runs a workload's trials against one golden walk instead of one by
+    one: arch trials as dirty-state overlays (see
+    :mod:`repro.faults.lockstep`), uarch trials as forks paced with the
+    prefix pipeline that retire once their machine state heals (see
+    :mod:`repro.faults.uarch_campaign`). Journals are byte-identical
+    either way, which is why it lives here and not in the scientific
+    config.
     """
 
     jobs: int | None = None
@@ -369,12 +372,10 @@ def _workload_task(
         from repro.cache import GoldenArtifactCache
 
         cache = GoldenArtifactCache(cache_dir)
-    extra = {"lockstep": lockstep} if level == "arch" else {}
-    if planner is not None:
-        extra.update(planner=planner, prior=prior)
+    extra = {} if planner is None else {"planner": planner, "prior": prior}
     return module.run_workload_trials(
         config, workload, completed=completed, guard=guard, cache=cache,
-        **extra,
+        lockstep=lockstep, **extra,
     )
 
 
@@ -442,9 +443,9 @@ def run_campaign(
     interleaved live); ``cache_dir`` points at a shared golden-artifact
     cache directory (see :mod:`repro.cache`) — golden runs are loaded
     from it when present and stored into it when not, with no effect on
-    any trial record or journal byte; ``lockstep`` selects the arch
-    campaign's batched execution strategy (journal-identical to the
-    serial path, and ignored by uarch campaigns).
+    any trial record or journal byte; ``lockstep`` selects the lockstep
+    trial schedulers of both levels over their serial twins (journals
+    are identical either way).
 
     ``planner`` (a :class:`repro.planner.PlannerConfig`, arch campaigns
     only) switches the run to adaptive trial allocation: rounds with
@@ -548,10 +549,9 @@ def run_campaign(
                         if trace is not None:
                             _emit_trial_events(trace, _level, o)
                 extra = (
-                    {"lockstep": policy.lockstep} if level == "arch" else {}
+                    {} if planner is None
+                    else {"planner": planner, "prior": tuple(prior)}
                 )
-                if planner is not None:
-                    extra.update(planner=planner, prior=tuple(prior))
                 workload_outcome = module.run_workload_trials(
                     config,
                     name,
@@ -559,6 +559,7 @@ def run_campaign(
                     guard=guard,
                     on_outcome=on_outcome,
                     cache=cache,
+                    lockstep=policy.lockstep,
                     **extra,
                 )
                 executed += len(workload_outcome.outcomes)

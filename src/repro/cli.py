@@ -914,7 +914,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stream per-trial telemetry events to a JSONL trace")
     p.add_argument("--lockstep", action=argparse.BooleanOptionalAction,
                    default=True,
-                   help="run arch trials through the lockstep batch "
+                   help="run trials through the level's lockstep "
                         "scheduler (default; --no-lockstep forces the "
                         "serial per-trial path — journals are byte-"
                         "identical either way)")

@@ -11,7 +11,10 @@ Methodology, following Section 4:
 3. Each trial flips one uniformly-chosen state bit in the fork (caches and
    predictor tables excluded, as in the paper) and monitors the machine for
    a window of cycles (the paper used 10,000; default scaled down), with
-   the retired stream compared against golden on the fly.
+   the retired stream compared against golden on the fly. Under lockstep
+   (the default) the forks step along with the prefix walk, and a fork
+   whose machine state heals back to the prefix's retires at once: the
+   rest of its window would replay golden.
 4. Outcomes (Table 2): watchdog saturation -> deadlock; a retired ISA
    exception absent from golden -> exception; retired-PC divergence -> cfv
    (with the JRS-gated detection latency recorded separately for Figure 5);
@@ -32,8 +35,12 @@ study filters the same trials by state class.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_right
+from collections import deque
 from collections.abc import Callable, Collection
 from dataclasses import dataclass, field
+from operator import itemgetter
+from time import perf_counter
 
 from repro.cache import GoldenArtifactCache, UarchGoldenArtifact
 from repro.campaign.guard import TrialGuard
@@ -61,6 +68,11 @@ from repro.workloads import WORKLOAD_NAMES, build_workload
 
 # Figures 4-6 x-axis: checkpoint intervals in instructions.
 FIGURE46_INTERVALS: tuple[int, ...] = (25, 50, 100, 200, 500, 1000, 2000)
+
+# Lockstep pacing: live shadows step with the prefix walk in chunks of
+# this many cycles, and after each chunk every shadow's machine state is
+# compared with the prefix's.
+LOCKSTEP_CHUNK_CYCLES = 50
 
 
 @dataclass(frozen=True)
@@ -302,6 +314,7 @@ def run_workload_trials(
     on_outcome: Callable[[TrialOutcome], None] | None = None,
     shard: tuple[int, int] | None = None,
     cache: GoldenArtifactCache | None = None,
+    lockstep: bool = True,
 ) -> WorkloadRunOutcome:
     """Execute one workload's trials under containment.
 
@@ -318,6 +331,12 @@ def run_workload_trials(
     by one cache load; injection cycles are recomputed deterministically
     from the cached end cycle, so cached and uncached runs are
     bit-identical.
+
+    Every trial runs through one scheduler (:class:`_Scheduler`). With
+    ``lockstep=True`` (the default) and no ``detectors``, its shadows
+    step in lockstep with the prefix walk and retire the moment their
+    machine state heals; otherwise each shadow runs its whole window at
+    birth, the serial trial. Journals are byte-identical either way.
     """
     guard = guard or TrialGuard()
     validate_shard(shard)
@@ -367,47 +386,30 @@ def run_workload_trials(
     # Distribute trials so exactly trials_per_workload run: the first
     # ``extra`` points (in sorted order) take one more than the rest.
     base_trials, extra = divmod(config.trials_per_workload, point_count)
+    plan: list[tuple[int, list[tuple[int, DeterministicRng]]]] = []
+    for position, point in enumerate(points):
+        per_point = base_trials + (1 if position < extra else 0)
+        pending = [
+            (index, wrng.child(f"trial:{point}:{index}"))
+            for index in range(per_point)
+            if (shard is None or index % shard[1] == shard[0])
+            and trial_key(workload, point, index) not in completed
+        ]
+        if pending:
+            plan.append((point, pending))
     prefix = load_pipeline(
         bundle.program,
         record_cache_symptoms=config.record_cache_symptoms,
         memhier_targets=config.memhier_targets,
         record_memhier_symptoms=config.record_memhier_symptoms,
     )
-    outcomes: list[TrialOutcome] = []
-    for position, point in enumerate(points):
-        per_point = base_trials + (1 if position < extra else 0)
-        prefix.run(point - prefix.cycle_count)
-        if not prefix.running:
-            break
-        for index in range(per_point):
-            if shard is not None and index % shard[1] != shard[0]:
-                continue
-            key = trial_key(workload, point, index)
-            if key in completed:
-                continue
-            trial_rng = wrng.child(f"trial:{point}:{index}")
-            field_index, bit = prefix.registry.pick_bit(
-                trial_rng, classes=config.fault_model.target_classes
-            )
-            outcome = guard.run(
-                key, workload, point, index,
-                lambda: _run_trial(
-                    workload, prefix, golden, config, point, field_index, bit
-                ),
-                descriptor={
-                    "level": "uarch",
-                    "seed": config.seed,
-                    "trial_seed": trial_rng.seed,
-                    "field": prefix.registry.field(field_index).name,
-                    "bit": bit,
-                },
-            )
-            outcomes.append(outcome)
-            if on_outcome is not None:
-                on_outcome(outcome)
+    scheduler = _Scheduler(
+        workload, config, golden, prefix, guard, on_outcome,
+        paced=lockstep and not config.detectors,
+    )
     return WorkloadRunOutcome(
         workload,
-        outcomes,
+        scheduler.run(plan),
         total_bits=prefix.registry.total_bits(),
         golden_cache=golden_cache,
     )
@@ -445,7 +447,233 @@ def _run_golden(
         retired_at=retired_at,
         final_arch_regs=pipeline.arch_reg_values(),
         final_memory=pipeline.memory,
+        hc_mispredicts=tuple(
+            (event.cycle, event.retired)
+            for event in pipeline.symptoms
+            if event.kind == "hc_mispredict"
+        ),
     )
+
+
+class _Shadow:
+    """One trial, from its fork at the injection point to its emission."""
+
+    __slots__ = (
+        "key", "point", "index", "descriptor", "target", "state_class",
+        "bit", "base", "end", "pipeline", "retired", "symptoms", "fired",
+        "healed_at", "error", "spent",
+    )
+
+    def __init__(self, key, point, index, descriptor, flip_field, bit,
+                 base, end):
+        self.key = key
+        self.point = point
+        self.index = index
+        self.descriptor = descriptor
+        self.target = flip_field.structure
+        self.state_class = flip_field.state_class
+        self.bit = bit
+        self.base = base  # retired count at injection
+        self.end = end  # the cycle its window ends
+        self.pipeline: Pipeline | None = None
+        self.retired: list = []
+        self.symptoms: list = []
+        self.fired: dict[str, int] = {}
+        self.healed_at: int | None = None
+        self.error: Exception | None = None
+        self.spent = 0.0  # wall-clock seconds of its own slices
+
+    @property
+    def finished(self) -> bool:
+        faulty = self.pipeline
+        return (
+            faulty is None
+            or not faulty.running
+            or faulty.cycle_count >= self.end
+        )
+
+    def close(self, healed_at: int | None = None) -> None:
+        """Drop the pipeline once healed or failed; what classification
+        still needs of it stays in ``retired`` and ``symptoms``."""
+        self.healed_at = healed_at
+        self.pipeline = None
+
+
+class _Scheduler:
+    """Runs one workload's pending trials against one prefix walk.
+
+    Each trial is a *shadow*: a fork of the prefix pipeline at the
+    injection point, one bit flipped. A paced shadow steps in lockstep
+    with the prefix, :data:`LOCKSTEP_CHUNK_CYCLES` at a time; after each
+    chunk, a shadow whose machine state equals the prefix's (every
+    :class:`~repro.uarch.latches.StateRegistry` value plus memory) has
+    *healed*: the rest of its window would replay golden, so it retires
+    at once. The others run out their window. An unpaced shadow runs its
+    whole window at birth, the serial trial. Shadow failures and wall-
+    clock overruns (counted over the shadow's own slices) are held on the
+    shadow; outcomes leave through the guard in serial ``(point, index)``
+    order, with the classification, or the held failure, inside the
+    guarded thunk.
+    """
+
+    def __init__(self, workload, config, golden, prefix, guard, on_outcome,
+                 paced: bool):
+        self.workload = workload
+        self.config = config
+        self.golden = golden
+        self.prefix = prefix
+        self.guard = guard
+        self.on_outcome = on_outcome
+        self.paced = paced
+        self.live: list[_Shadow] = []  # paced shadows still stepping
+        self.waiting: deque[_Shadow] = deque()  # born, not yet emitted
+        self.outcomes: list[TrialOutcome] = []
+
+    def run(self, plan) -> list[TrialOutcome]:
+        for point, pending in plan:
+            self._advance(point)
+            if not self.prefix.running:
+                break
+            for index, trial_rng in pending:
+                self._birth(point, index, trial_rng)
+                self._emit_ready()
+        self._advance(None)
+        return self.outcomes
+
+    def _advance(self, target: int | None) -> None:
+        """Walk the prefix to cycle ``target``, pacing the live shadows;
+        ``None`` walks on until no shadow is live."""
+        prefix = self.prefix
+        while self.live and prefix.running and (
+            target is None or prefix.cycle_count < target
+        ):
+            stop = prefix.cycle_count + LOCKSTEP_CHUNK_CYCLES
+            if target is not None:
+                stop = min(stop, target)
+            prefix.run(stop - prefix.cycle_count)
+            self.live = [shadow for shadow in self.live if self._pace(shadow)]
+            self._emit_ready()
+        if not prefix.running:
+            # Golden has halted, so nothing is left to heal against: the
+            # live shadows run out their windows.
+            for shadow in self.live:
+                self._contained(shadow, self._run_out, shadow)
+            self.live = []
+            self._emit_ready()
+        elif target is not None and prefix.cycle_count < target:
+            prefix.run(target - prefix.cycle_count)
+
+    def _pace(self, shadow: _Shadow) -> bool:
+        """Step a live shadow to the prefix's cycle (or its window end)
+        and retire it if it healed; False once it is finished."""
+        self._contained(shadow, self._catch_up, shadow)
+        return not shadow.finished
+
+    def _catch_up(self, shadow: _Shadow) -> None:
+        prefix = self.prefix
+        faulty = shadow.pipeline
+        faulty.run(min(prefix.cycle_count, shadow.end) - faulty.cycle_count)
+        if (
+            faulty.running
+            and faulty.cycle_count < shadow.end
+            and _same_state(faulty, prefix)
+        ):
+            shadow.close(healed_at=faulty.cycle_count)
+
+    @staticmethod
+    def _run_out(shadow: _Shadow) -> None:
+        shadow.pipeline.run(shadow.end - shadow.pipeline.cycle_count)
+
+    def _birth(self, point: int, index: int, trial_rng: DeterministicRng) -> None:
+        config = self.config
+        prefix = self.prefix
+        field_index, bit = prefix.registry.pick_bit(
+            trial_rng, classes=config.fault_model.target_classes
+        )
+        flip_field = prefix.registry.field(field_index)
+        shadow = _Shadow(
+            trial_key(self.workload, point, index), point, index,
+            {
+                "level": "uarch",
+                "seed": config.seed,
+                "trial_seed": trial_rng.seed,
+                "field": flip_field.name,
+                "bit": bit,
+            },
+            flip_field, bit, prefix.retired_count, point + config.window_cycles,
+        )
+        self.waiting.append(shadow)
+        self._contained(shadow, self._fork, shadow, field_index, bit)
+        if not shadow.finished:
+            self.live.append(shadow)
+
+    def _fork(self, shadow: _Shadow, field_index: int, bit: int) -> None:
+        config = self.config
+        faulty = shadow.pipeline = self.prefix.fork()
+        faulty.retired_log = shadow.retired
+        shadow.symptoms = faulty.symptoms
+        faulty.registry.field(field_index).flip(bit)
+        if config.detectors:
+            faulty.symptom_handler = _first_firings(
+                faulty, build_memhier_detectors(config.detectors), shadow.fired
+            )
+        if not self.paced:
+            faulty.run(config.window_cycles)
+
+    def _contained(self, shadow: _Shadow, work: Callable, *args) -> None:
+        """Run one slice of a shadow's work. A failure, or an overrun of
+        the guard's budget counted over the shadow's slices so far, is
+        held on the shadow (and closes it) instead of escaping."""
+        start = perf_counter()
+        try:
+            with self.guard.limit(shadow.spent):
+                work(*args)
+        except Exception as exc:
+            shadow.error = exc
+            shadow.close()
+        finally:
+            shadow.spent += perf_counter() - start
+
+    def _emit_ready(self) -> None:
+        waiting = self.waiting
+        while waiting and waiting[0].finished:
+            shadow = waiting.popleft()
+            outcome = self.guard.run(
+                shadow.key, self.workload, shadow.point, shadow.index,
+                lambda: self._classify(shadow),
+                descriptor=shadow.descriptor,
+            )
+            self.outcomes.append(outcome)
+            if self.on_outcome is not None:
+                self.on_outcome(outcome)
+
+    def _classify(self, shadow: _Shadow) -> UarchTrialResult:
+        if shadow.error is not None:
+            raise shadow.error
+        return _classify_trial(self.workload, self.golden, shadow)
+
+
+def _same_state(faulty: Pipeline, prefix: Pipeline) -> bool:
+    """The heal predicate: every registered value and every memory byte
+    equal. From then on the two pipelines step identically."""
+    return faulty.registry.equals(prefix.registry) and faulty.memory.equals(
+        prefix.memory
+    )
+
+
+def _first_firings(faulty: Pipeline, detectors, fired: dict[str, int]):
+    """A symptom handler that records each detector's first firing."""
+
+    def _observe(kind: str, payload) -> bool:
+        # Measure first-fire positions without ever rolling back: the
+        # campaign wants detection latency, not recovery, so the trial
+        # keeps running and the failure comparators stay untouched.
+        for det in detectors:
+            if det.observe(kind, payload) and det.name not in fired:
+                fired[det.name] = faulty.retired_count
+        return False
+
+    return _observe
 
 
 def _latent_is_arch_relevant(faulty: Pipeline, diff_indices: list[int]) -> bool:
@@ -471,44 +699,26 @@ def _latent_is_arch_relevant(faulty: Pipeline, diff_indices: list[int]) -> bool:
     return False
 
 
-def _run_trial(
-    workload: str,
-    prefix: Pipeline,
-    golden: UarchGoldenArtifact,
-    config: UarchCampaignConfig,
-    point: int,
-    field_index: int,
-    bit: int,
+def _classify_trial(
+    workload: str, golden: UarchGoldenArtifact, shadow: _Shadow
 ) -> UarchTrialResult:
-    faulty = prefix.fork()
-    faulty.retired_log = []
-    flip_field = faulty.registry.field(field_index)
-    flip_field.flip(bit)
+    """Classify a finished shadow exactly as its full window would be.
 
-    base = faulty.retired_count
-    fired: dict[str, int] = {}
-    if config.detectors:
-        detectors = build_memhier_detectors(config.detectors)
-
-        def _observe(kind: str, payload) -> bool:
-            # Measure first-fire positions without ever rolling back: the
-            # campaign wants detection latency, not recovery, so the trial
-            # keeps running and the failure comparators stay untouched.
-            for det in detectors:
-                if det.observe(kind, payload) and det.name not in fired:
-                    fired[det.name] = faulty.retired_count
-            return False
-
-        faulty.symptom_handler = _observe
-    faulty.run(config.window_cycles)
-
+    A healed shadow's state equalled golden's at cycle ``healed_at``, so
+    the rest of its window replays golden: it retires golden's own records
+    (which match), fires golden's symptoms (of which only the first
+    ``hc_mispredict`` counts), and ends in golden's state (no deadlock, no
+    latent residue, golden's final state if golden halts).
+    """
+    base = shadow.base
+    faulty = shadow.pipeline  # None once healed
     golden_log = golden.retired
     deadlock_latency = None
     exception_latency = None
     cfv_latency = None
     arch_corrupt = False
     previous_pc_mismatch = False
-    for offset, record in enumerate(faulty.retired_log):
+    for offset, record in enumerate(shadow.retired):
         index = base + offset
         latency = offset + 1
         if record.exc:
@@ -544,14 +754,22 @@ def _run_trial(
             # architectural state.
             if not store_matches:
                 arch_corrupt = True
-    if faulty.deadlock:
-        deadlock_latency = len(faulty.retired_log) + 1
+    if faulty is not None and faulty.deadlock:
+        deadlock_latency = len(shadow.retired) + 1
 
     cfv_detected_latency = None
-    for event in faulty.symptoms:
-        if event.kind == "hc_mispredict":
-            cfv_detected_latency = max(1, event.retired - base + 1)
-            break
+    detected = next(
+        (event.retired for event in shadow.symptoms if event.kind == "hc_mispredict"),
+        None,
+    )
+    if detected is None and shadow.healed_at is not None:
+        # Golden's first event after the heal cycle, if the window has it.
+        events = golden.hc_mispredicts
+        position = bisect_right(events, shadow.healed_at, key=itemgetter(0))
+        if position < len(events) and events[position][0] <= shadow.end:
+            detected = events[position][1]
+    if detected is not None:
+        cfv_detected_latency = max(1, detected - base + 1)
 
     uarch_latent = False
     latent_arch_relevant = False
@@ -561,17 +779,17 @@ def _run_trial(
         and cfv_latency is None
         and not arch_corrupt
     )
-    if clean_stream:
+    if clean_stream and faulty is not None:
         if faulty.halted:
             # The program finished: compare final architectural state.
-            if len(faulty.retired_log) + base != len(golden_log):
-                cfv_latency = len(faulty.retired_log) + 1
+            if len(shadow.retired) + base != len(golden_log):
+                cfv_latency = len(shadow.retired) + 1
             elif not faulty.memory.equals(golden.final_memory):
                 arch_corrupt = True
             elif faulty.arch_reg_values() != golden.final_arch_regs:
                 arch_corrupt = True
         else:
-            end_cycle = point + config.window_cycles
+            end_cycle = shadow.end
             snapshot = golden.snapshots.get(end_cycle)
             if (
                 snapshot is not None
@@ -587,16 +805,16 @@ def _run_trial(
             # Matching stream with timing skew only: architecturally benign.
 
     def _detector_latency(name: str) -> int | None:
-        if name not in fired:
+        if name not in shadow.fired:
             return None
-        return max(1, fired[name] - base + 1)
+        return max(1, shadow.fired[name] - base + 1)
 
     return UarchTrialResult(
         workload=workload,
-        inject_cycle=point,
-        target=flip_field.structure,
-        state_class=flip_field.state_class,
-        bit=bit,
+        inject_cycle=shadow.point,
+        target=shadow.target,
+        state_class=shadow.state_class,
+        bit=shadow.bit,
         inject_retired=base,
         deadlock_latency=deadlock_latency,
         exception_latency=exception_latency,

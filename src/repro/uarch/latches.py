@@ -10,7 +10,9 @@ Every piece of pipeline machine state registers here exactly once:
 - **Substrate** is copied with the machine but never injected or counted:
   predictor tables, TLBs, timing metadata, counters, status scalars, the
   event wheel. :meth:`StateRegistry.copy_to` walks both kinds, which is
-  all :meth:`~repro.uarch.pipeline.Pipeline.fork` needs.
+  all :meth:`~repro.uarch.pipeline.Pipeline.fork` needs, and
+  :meth:`StateRegistry.equals` compares both, which with the memory image
+  is the uarch lockstep scheduler's heal check.
 
 Injectable state classes mirror the paper's taxonomy:
 
@@ -173,6 +175,22 @@ class StateRegistry:
                 getattr(target, attribute)[:] = value
             else:
                 setattr(target, attribute, value)
+
+    def equals(self, other: "StateRegistry") -> bool:
+        """Whether ``other``, a registry built by the same constructor,
+        holds exactly this one's values: every injectable array and every
+        substrate value. Two pipelines whose registries and memory images
+        are equal step identically from then on; the uarch lockstep
+        scheduler retires a shadow on that test."""
+        for mine, theirs in zip(self.arrays, other.arrays, strict=True):
+            if mine.storage != theirs.storage:
+                return False
+        for (owner_ref, attribute, _), (target_ref, _, _) in zip(
+            self.substrate, other.substrate, strict=True
+        ):
+            if getattr(owner_ref(), attribute) != getattr(target_ref(), attribute):
+                return False
+        return True
 
     # ------------------------------------------------------------- queries
 

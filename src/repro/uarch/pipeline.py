@@ -1392,9 +1392,10 @@ class Pipeline:
 
         Fault campaigns run one golden pipeline forward and fork it at each
         injection point, so a trial only pays for the post-injection window
-        instead of a whole run from reset. The memory image is cloned
-        copy-on-write; everything else — injectable arrays and substrate
-        alike — is copied by walking the state schema.
+        instead of a whole run from reset. The memory image is deep-copied
+        (:meth:`~repro.arch.memory.SparseMemory.clone`); everything else —
+        injectable arrays and substrate alike — is copied by walking the
+        state schema.
         """
         copy = Pipeline(
             self.memory.clone(),

@@ -8,9 +8,10 @@ import tempfile
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.arch.memory import PAGE_SHIFT, PAGE_SIZE
 from repro.cache import GoldenArtifactCache, UarchGoldenArtifact
 from repro.faults import UarchCampaignConfig
-from repro.faults.uarch_campaign import _latent_is_arch_relevant
+from repro.faults.uarch_campaign import _latent_is_arch_relevant, _same_state
 from repro.uarch import load_pipeline
 from repro.workloads import build_workload
 
@@ -191,6 +192,7 @@ class TestSchemaRoundTrips:
             retired_at={pipeline.cycle_count: pipeline.retired_count},
             final_arch_regs=pipeline.arch_reg_values(),
             final_memory=pipeline.memory,
+            hc_mispredicts=((pipeline.cycle_count, pipeline.retired_count),),
         )
         config = UarchCampaignConfig(memhier_targets=memhier_targets)
         with tempfile.TemporaryDirectory() as root:
@@ -201,6 +203,7 @@ class TestSchemaRoundTrips:
         cached.registry.restore(loaded.snapshots[pipeline.cycle_count])
         assert schema_values(cached)[0] == expected[0]
         assert cached.memhier_targets == memhier_targets
+        assert loaded.hc_mispredicts == artifact.hc_mispredicts
 
     def test_copy_drops_the_scheduler_waiter_index(self):
         source = load_pipeline(BUNDLE.program)
@@ -220,6 +223,76 @@ class TestSchemaRoundTrips:
             assert registry.fields[index].name == f"{array.name}[{slot}]"
         with pytest.raises(IndexError):
             registry.locate(len(registry.fields))
+
+
+def nudged(value, rnd: random.Random):
+    """A value of the same kind as ``value`` that differs from it in one
+    place: one list element, one event, one flag, one number."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, list):
+        changed = list(value)
+        slot = rnd.randrange(len(changed))
+        changed[slot] = changed[slot] + 1
+        return changed
+    if isinstance(value, dict):
+        changed = {cycle: list(bucket) for cycle, bucket in value.items()}
+        changed.setdefault(max(changed, default=0) + 1, []).append(("wb", 0, 0, 0, 0))
+        return changed
+    if value is None or isinstance(value, tuple):
+        return (0, 0) if value is None else None
+    raise AssertionError(f"no nudge for {type(value)}")
+
+
+class TestHealPredicate:
+    """The uarch lockstep scheduler retires a shadow once its registry and
+    memory equal the prefix's. A fork must pass that test, and any one
+    change to a registered slot, a substrate value, or a memory byte must
+    fail it; with the registration guard above, no machine state can stay
+    outside the check."""
+
+    @settings(max_examples=6, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        cycles=st.integers(0, 1_200),
+        seed=st.integers(0, 2**32 - 1),
+        memhier_targets=st.booleans(),
+    )
+    def test_fork_equals_parent_and_any_one_change_breaks_it(
+        self, cycles, seed, memhier_targets
+    ):
+        rnd = random.Random(seed)
+        pipeline = load_pipeline(BUNDLE.program, memhier_targets=memhier_targets)
+        pipeline.run(cycles)
+        perturb(pipeline, rnd)
+        fork = pipeline.fork()
+        assert _same_state(fork, pipeline)
+
+        for array in fork.registry.arrays:
+            slot = rnd.randrange(len(array.storage))
+            original = array.storage[slot]
+            array.storage[slot] = original ^ (1 << rnd.randrange(array.width))
+            assert not _same_state(fork, pipeline), array.name
+            array.storage[slot] = original
+        assert _same_state(fork, pipeline)
+
+        for ref, attr, _ in fork.registry.substrate:
+            owner = ref()
+            original = getattr(owner, attr)
+            setattr(owner, attr, nudged(original, rnd))
+            assert not _same_state(fork, pipeline), attr
+            setattr(owner, attr, original)
+        assert _same_state(fork, pipeline)
+
+        page = rnd.choice(fork.memory.mapped_pages())
+        address = (page << PAGE_SHIFT) + rnd.randrange(PAGE_SIZE)
+        byte = fork.memory.read(address, 1)
+        fork.memory.load_bytes(address, bytes([byte ^ 0x40]))
+        assert not _same_state(fork, pipeline)
+        fork.memory.load_bytes(address, bytes([byte]))
+        assert _same_state(fork, pipeline)
 
 
 class TestLatentRelevance:
