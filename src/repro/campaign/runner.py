@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from repro import __version__
@@ -433,7 +433,8 @@ def run_campaign(
     """Run a fault-injection campaign resiliently.
 
     ``journal_path`` enables durable progress (one flushed JSONL line per
-    trial in serial mode, per completed workload in parallel mode);
+    trial; in parallel mode a workload's lines are written once it and
+    every earlier workload have finished);
     ``resume`` replays an existing journal and runs only missing trials;
     ``jobs`` fans workloads out across processes (``None`` means one per
     core); ``trial_timeout`` is the per-trial wall-clock budget in
@@ -452,11 +453,13 @@ def run_campaign(
     early stopping per injection point plus the masking-equivalence
     prescreen. Unlike the :class:`ExecutionPolicy` knobs it changes
     which trials exist, so it is recorded in the journal manifest and
-    must match on resume. With ``jobs > 1`` an adaptive run's journal is
-    written in workload order (a reorder buffer holds completed
-    workloads until their turn) so it stays byte-identical to the serial
-    journal; uniform parallel runs keep their stream-on-completion
-    behaviour.
+    must match on resume.
+
+    With ``jobs > 1`` the journal is written in workload order, so it is
+    byte-identical to the serial journal: a workload that finishes early
+    waits in memory until every earlier workload has been written, as
+    adaptive runs always did. Each line is still flushed as it is
+    written.
     """
     module = _campaign_module(level)
     if planner is not None and level != "arch":
@@ -536,23 +539,35 @@ def run_campaign(
             pending.append(name)
 
     executed = 0
+
+    def on_outcome(o: TrialOutcome) -> None:
+        if writer is not None:
+            writer.write(o.to_entry())
+        if trace is not None:
+            _emit_trial_events(trace, level, o)
+
+    def finish(name: str, workload_outcome: WorkloadRunOutcome) -> None:
+        """Account a workload whose trial lines are written; close it."""
+        nonlocal resumed, executed
+        prior = state.outcomes.get(name, [])
+        resumed += len(prior)
+        executed += len(workload_outcome.outcomes)
+        workload_outcome.outcomes = prior + workload_outcome.outcomes
+        by_workload[name] = workload_outcome
+        if trace is not None:
+            _emit_convergence_events(trace, workload_outcome)
+        if writer is not None:
+            writer.write(_workload_sentinel(workload_outcome))
+
     try:
         if jobs == 1 or len(pending) <= 1:
             for name in pending:
-                prior = list(state.outcomes.get(name, []))
-                resumed += len(prior)
-                on_outcome = None
-                if writer is not None or trace is not None:
-                    def on_outcome(o, _level=level):  # noqa: E306
-                        if writer is not None:
-                            writer.write(o.to_entry())
-                        if trace is not None:
-                            _emit_trial_events(trace, _level, o)
+                prior = state.outcomes.get(name, [])
                 extra = (
                     {} if planner is None
                     else {"planner": planner, "prior": tuple(prior)}
                 )
-                workload_outcome = module.run_workload_trials(
+                finish(name, module.run_workload_trials(
                     config,
                     name,
                     completed=frozenset(o.key for o in prior),
@@ -561,75 +576,27 @@ def run_campaign(
                     cache=cache,
                     lockstep=policy.lockstep,
                     **extra,
-                )
-                executed += len(workload_outcome.outcomes)
-                workload_outcome.outcomes = prior + workload_outcome.outcomes
-                by_workload[name] = workload_outcome
-                if trace is not None:
-                    _emit_convergence_events(trace, workload_outcome)
-                if writer is not None:
-                    writer.write(_workload_sentinel(workload_outcome))
+                ))
         else:
-            completed_keys = {
-                name: frozenset(state.completed_keys(name)) for name in pending
+            task_args: dict[str, tuple] = {
+                name: (
+                    level, config, name,
+                    frozenset(state.completed_keys(name)), trial_timeout,
+                    cache_dir, policy.lockstep,
+                    *((planner, tuple(state.outcomes.get(name, ())))
+                      if planner is not None else ()),
+                )
+                for name in pending
             }
-            priors = {
-                name: tuple(state.outcomes.get(name, ())) for name in pending
-            }
-
-            def emit(name: str, workload_outcome: WorkloadRunOutcome) -> None:
-                nonlocal resumed, executed
-                prior = list(priors[name])
-                resumed += len(prior)
-                executed += len(workload_outcome.outcomes)
-                if writer is not None:
-                    for outcome in workload_outcome.outcomes:
-                        writer.write(outcome.to_entry())
-                if trace is not None:
-                    for outcome in workload_outcome.outcomes:
-                        _emit_trial_events(trace, level, outcome)
-                workload_outcome.outcomes = prior + workload_outcome.outcomes
-                by_workload[name] = workload_outcome
-                if trace is not None:
-                    _emit_convergence_events(trace, workload_outcome)
-                if writer is not None:
-                    writer.write(_workload_sentinel(workload_outcome))
-
-            # Adaptive journals must be byte-identical across job counts,
-            # so completed workloads are flushed in config order through a
-            # reorder buffer; uniform runs keep streaming on completion
-            # (their journal order was never part of the result identity).
-            flush_order = [name for name in config.workloads if name in pending]
-            buffered: dict[str, WorkloadRunOutcome] = {}
-            flushed = 0
-
-            def flush_ready() -> None:
-                nonlocal flushed
-                while flushed < len(flush_order) and (
-                    flush_order[flushed] in buffered
-                ):
-                    next_name = flush_order[flushed]
-                    emit(next_name, buffered.pop(next_name))
-                    flushed += 1
-
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures = {
-                    pool.submit(
-                        _workload_task,
-                        level,
-                        config,
-                        name,
-                        completed_keys[name],
-                        trial_timeout,
-                        cache_dir,
-                        policy.lockstep,
-                        *((planner, priors[name])
-                          if planner is not None else ()),
-                    ): name
+                futures = [
+                    (name, pool.submit(_workload_task, *task_args[name]))
                     for name in pending
-                }
-                for future in as_completed(futures):
-                    name = futures[future]
+                ]
+                # Journals must be byte-identical across job counts, so
+                # workloads are written in config order: one that finishes
+                # early waits, in memory, until every earlier one is written.
+                for name, future in futures:
                     try:
                         workload_outcome = future.result()
                     except Exception as first_error:
@@ -637,13 +604,7 @@ def run_campaign(
                         # contains trial failures): retry once in-parent,
                         # then classify the workload as skipped.
                         try:
-                            workload_outcome = _workload_task(
-                                level, config, name,
-                                completed_keys[name], trial_timeout,
-                                cache_dir, policy.lockstep,
-                                *((planner, priors[name])
-                                  if planner is not None else ()),
-                            )
+                            workload_outcome = _workload_task(*task_args[name])
                         except Exception as second_error:
                             workload_outcome = WorkloadRunOutcome(
                                 name,
@@ -652,12 +613,9 @@ def run_campaign(
                                     f"(first failure: {first_error!r})"
                                 ),
                             )
-                    if planner is not None:
-                        buffered[name] = workload_outcome
-                        flush_ready()
-                    else:
-                        emit(name, workload_outcome)
-                flush_ready()
+                    for outcome in workload_outcome.outcomes:
+                        on_outcome(outcome)
+                    finish(name, workload_outcome)
     finally:
         if writer is not None:
             writer.close()

@@ -27,7 +27,7 @@ differential twin the test suite compares against.
 from __future__ import annotations
 
 import warnings
-from collections.abc import Callable, Collection
+from collections.abc import Callable, Collection, Container
 from dataclasses import dataclass, field
 
 from repro.arch.simulator import ArchSimulator, StopReason, load_program
@@ -42,6 +42,12 @@ from repro.campaign.outcomes import (
     WorkloadRunOutcome,
     trial_key,
     validate_shard,
+)
+from repro.campaign.plan import (
+    Allocation,
+    PendingTrials,
+    pending_trials,
+    uniform_allocation,
 )
 from repro.faults.classify import (
     ARCH_CATEGORIES,
@@ -236,10 +242,29 @@ def _load_golden(
     return bundle, trace, golden_cache
 
 
+def sample_points(
+    config: ArchCampaignConfig, workload: str, trace
+) -> list[int]:
+    """The workload's sorted injection points, a pure function of the seed
+    and the golden run's register-writing steps."""
+    count = min(config.injection_points, len(trace.writer_steps))
+    return sorted(
+        _workload_rng(config, workload)
+        .child("points")
+        .sample(trace.writer_steps, count)
+    )
+
+
+def _workload_rng(
+    config: ArchCampaignConfig, workload: str
+) -> DeterministicRng:
+    return DeterministicRng(config.seed).child("arch-campaign").child(workload)
+
+
 def run_workload_trials(
     config: ArchCampaignConfig,
     workload: str,
-    completed: Collection[str] = frozenset(),
+    completed: Container[str] = frozenset(),
     guard: TrialGuard | None = None,
     on_outcome: Callable[[TrialOutcome], None] | None = None,
     shard: tuple[int, int] | None = None,
@@ -287,27 +312,26 @@ def run_workload_trials(
     A failing golden run skips the workload with a structured warning
     instead of aborting the campaign.
 
-    Adaptive mode (``planner`` set to a
-    :class:`~repro.planner.PlannerConfig`) replaces the uniform split
-    with the round-based planner: round 0 gives every point
+    An allocation (see :mod:`repro.campaign.plan`) decides which trials
+    exist, and every round of them runs through one executor,
+    :func:`_execute_round`. Without a ``planner`` the run is one round,
+    the uniform split of ``trials_per_workload`` over the points. With a
+    :class:`~repro.planner.PlannerConfig` the rounds come from
+    :class:`~repro.planner.CampaignPlanner`: round 0 gives every point
     ``min_trials``, later rounds top up points whose Wilson margin is
-    still wider than the target, and provably-dead points (see
-    :mod:`repro.planner.prescreen`) emit their masked records without
-    simulation. ``prior`` supplies journaled outcomes so a resumed run
-    replays the planner's rounds instead of re-executing them;
-    ``planner_round``/``allocation`` let the campaign service execute
-    one round at a time (round 0 derives its own allocation and reports
-    the point/prescreen metadata; later rounds execute the explicit
-    allocation the scheduler computed).
+    still wider than the target, and provably dead points (see
+    :mod:`repro.planner.prescreen`) get their masked records without
+    simulation. ``prior`` supplies journaled outcomes, which the planner
+    observes instead of re-executing them, so a resumed run replays the
+    same rounds. The campaign service runs one round per call:
+    ``planner_round=0`` plans round 0 and reports the point and
+    prescreen metadata; a later ``planner_round`` executes the explicit
+    ``allocation`` the scheduler computed.
     """
     guard = guard or TrialGuard()
     validate_shard(shard)
-    wrng = DeterministicRng(config.seed).child("arch-campaign").child(workload)
     try:
         bundle, trace, golden_cache = _load_golden(config, workload, cache)
-        # Number of memory operations retired up to and including each
-        # step, recorded while the golden run executed.
-        memop_counts = trace.memop_counts
     except Exception as exc:
         reason = f"{type(exc).__name__}: {exc}"
         warnings.warn(
@@ -317,101 +341,177 @@ def run_workload_trials(
         )
         return WorkloadRunOutcome(workload, skip_reason=reason)
 
-    point_count = min(config.injection_points, len(trace.writer_steps))
-    points = sorted(wrng.child("points").sample(trace.writer_steps, point_count))
-    if planner is not None:
-        return _run_adaptive(
-            config, workload, planner, points, bundle, trace, memop_counts,
-            wrng, completed, guard, on_outcome, shard, lockstep, prior,
-            planner_round, allocation, golden_cache,
+    points = sample_points(config, workload, trace)
+    wrng = _workload_rng(config, workload)
+
+    def run_round(
+        alloc: Allocation, prescreened: Collection[int] = ()
+    ) -> list[TrialOutcome]:
+        return _execute_round(
+            config, workload, bundle, trace,
+            pending_trials(wrng, workload, alloc, shard, completed),
+            prescreened, guard, on_outcome, lockstep,
         )
-    # Distribute trials so exactly trials_per_workload run: the first
-    # ``extra`` points (in sorted order) take one more than the rest.
-    base_trials, extra = divmod(config.trials_per_workload, point_count)
 
-    # One prefix simulator walks forward through all injection points,
-    # starting from the nearest cached snapshot when one is available.
-    prefix = _prefix_simulator(
-        bundle, trace,
-        _first_pending_uniform(workload, points, base_trials, extra,
-                               completed, shard),
+    if planner is None:
+        return WorkloadRunOutcome(
+            workload,
+            run_round(uniform_allocation(points, config.trials_per_workload)),
+            golden_cache=golden_cache,
+        )
+    if planner_round is None and shard is not None:
+        raise ValueError(
+            "sharded adaptive execution requires per-round scheduling "
+            "(pass planner_round/allocation)"
+        )
+    if planner_round:
+        # Later rounds never touch prescreened points (they converged by
+        # proof), so the scheduler's allocation is all this needs.
+        if allocation is None:
+            raise ValueError(
+                f"round {planner_round} execution needs an explicit "
+                f"allocation"
+            )
+        return WorkloadRunOutcome(
+            workload, run_round(sorted(allocation)),
+            golden_cache=golden_cache, planner_points=tuple(points),
+        )
+
+    from repro.planner import (
+        CampaignPlanner,
+        prescreen_dead_points,
+        resolve_budget,
     )
-    # The full pending-trial schedule in serial journal order. Rng children
-    # are pure (seed, label) derivations, so drawing every trial's bit up
-    # front is byte-identical to drawing it just before the trial runs.
-    plan: list[tuple[int, list[tuple[int, int, DeterministicRng]]]] = []
-    for position, point in enumerate(points):
-        per_point = base_trials + (1 if position < extra else 0)
-        pending: list[tuple[int, int, DeterministicRng]] = []
-        for index in range(per_point):
-            if shard is not None and index % shard[1] != shard[0]:
-                continue
-            if trial_key(workload, point, index) in completed:
-                continue
-            trial_rng = wrng.child(f"trial:{point}:{index}")
-            pending.append((index, config.fault_model.choose_bit(trial_rng),
-                            trial_rng))
-        if pending:
-            plan.append((point, pending))
 
-    results: dict[tuple[int, int], ArchTrialResult] | None = None
-    if lockstep and plan:
-        try:
-            results = run_lockstep_trials(
-                config, workload, trace, memop_counts, prefix,
-                [(point, [(index, bit) for index, bit, _ in pending])
-                 for point, pending in plan],
-            )
-            missing = [
-                (point, index)
-                for point, pending in plan
-                for index, _, _ in pending
-                if (point, index) not in results
-            ]
-            if missing:
-                raise AssertionError(
-                    f"lockstep scheduler dropped {len(missing)} trials "
-                    f"(first: {missing[0]})"
+    prescreened = (
+        prescreen_dead_points(trace, points) if planner.prescreen else set()
+    )
+    rounds = CampaignPlanner(
+        planner, points, prescreened, budget=resolve_budget(planner, config)
+    )
+    meta = dict(
+        golden_cache=golden_cache,
+        planner_points=tuple(points),
+        prescreened_points=tuple(sorted(prescreened)),
+    )
+    if planner_round == 0:
+        return WorkloadRunOutcome(
+            workload, run_round(rounds.plan_round(), prescreened), **meta
+        )
+    known = {(o.point, o.index): o for o in prior}
+    fresh: list[TrialOutcome] = []
+    while alloc := rounds.plan_round():
+        executed = run_round(alloc, prescreened)
+        fresh += executed
+        known.update(((o.point, o.index), o) for o in executed)
+        for point, start, count in alloc:
+            for index in range(start, start + count):
+                outcome = known[(point, index)]
+                rounds.observe(
+                    point,
+                    ok=outcome.status == OUTCOME_OK,
+                    failing=outcome.record is not None
+                    and bool(outcome.record.failing),
                 )
-        except Exception as exc:
-            warnings.warn(
-                f"lockstep scheduler failed for {workload} "
-                f"({type(exc).__name__}: {exc}); falling back to serial "
-                f"trials",
-                CampaignWorkloadWarning,
-                stacklevel=2,
-            )
-            results = None
-            # The scheduler consumed the prefix walker; rebuild it.
-            prefix = _prefix_simulator(
-                bundle, trace,
-                _first_pending_uniform(workload, points, base_trials, extra,
-                                       completed, shard),
-            )
+    return WorkloadRunOutcome(
+        workload, fresh, planner_summary=rounds.summary(), **meta
+    )
+
+
+def _execute_round(
+    config: ArchCampaignConfig,
+    workload: str,
+    bundle,
+    trace,
+    pending: PendingTrials,
+    prescreened: Collection[int],
+    guard: TrialGuard,
+    on_outcome: Callable[[TrialOutcome], None] | None,
+    lockstep: bool,
+) -> list[TrialOutcome]:
+    """Run one round's pending trials and emit them in ``(point, index)``
+    order through the guard.
+
+    Trials at ``prescreened`` points get the masked record without
+    simulation; their bit still comes from the trial's own stream, so the
+    record is the one simulation would produce. The others run in one
+    lockstep batch against a single golden walk or, with ``lockstep`` off
+    or when the scheduler fails, one fork per trial off a serial prefix
+    walk. Rng children are pure (seed, label) derivations, so drawing
+    every bit up front is byte-identical to drawing it just before the
+    trial runs.
+    """
+    trials = [
+        (point, [(index, config.fault_model.choose_bit(rng), rng)
+                 for index, rng in todo])
+        for point, todo in pending
+    ]
+    live = [
+        (point, [(index, bit) for index, bit, _ in todo])
+        for point, todo in trials
+        if point not in prescreened
+    ]
+    results: dict[tuple[int, int], ArchTrialResult] | None = None
+    prefix: ArchSimulator | None = None
+    if live:
+        # One prefix simulator walks forward through all injection points,
+        # starting from the nearest cached snapshot when one is available.
+        prefix = _prefix_simulator(bundle, trace, live[0][0])
+        if lockstep:
+            try:
+                results = run_lockstep_trials(
+                    config, workload, trace, trace.memop_counts, prefix, live,
+                )
+                missing = [
+                    (point, index)
+                    for point, todo in live
+                    for index, _ in todo
+                    if (point, index) not in results
+                ]
+                if missing:
+                    raise AssertionError(
+                        f"lockstep scheduler dropped {len(missing)} trials "
+                        f"(first: {missing[0]})"
+                    )
+            except Exception as exc:
+                warnings.warn(
+                    f"lockstep scheduler failed for {workload} "
+                    f"({type(exc).__name__}: {exc}); falling back to serial "
+                    f"trials",
+                    CampaignWorkloadWarning,
+                    stacklevel=4,
+                )
+                results = None
+                # The scheduler consumed the prefix walker; rebuild it.
+                prefix = _prefix_simulator(bundle, trace, live[0][0])
 
     outcomes: list[TrialOutcome] = []
-    for point, pending in plan:
-        if results is None:
+    for point, todo in trials:
+        simulated = point not in prescreened
+        if simulated and results is None:
             if prefix.retired < point and prefix.running:
                 prefix.run(point - prefix.retired)
                 prefix.resume()
             if not prefix.running:  # pragma: no cover - golden ran fine
                 break
-        for index, bit, trial_rng in pending:
-            key = trial_key(workload, point, index)
-            if results is None:
-                runner = (
-                    lambda point=point, bit=bit: _run_trial(
-                        workload, prefix, trace, memop_counts, point, bit,
-                        config,
-                    )
+        for index, bit, trial_rng in todo:
+            if not simulated:
+                record = ArchTrialResult(
+                    workload=workload, inject_step=point, bit=bit
                 )
+                runner = lambda record=record: record
+            elif results is not None:
+                runner = lambda key=(point, index): results[key]
             else:
                 runner = (
-                    lambda point=point, index=index: results[(point, index)]
+                    lambda point=point, bit=bit: _run_trial(
+                        workload, prefix, trace, trace.memop_counts, point,
+                        bit, config,
+                    )
                 )
             outcome = guard.run(
-                key, workload, point, index, runner,
+                trial_key(workload, point, index), workload, point, index,
+                runner,
                 descriptor={
                     "level": "arch",
                     "seed": config.seed,
@@ -422,265 +522,23 @@ def run_workload_trials(
             outcomes.append(outcome)
             if on_outcome is not None:
                 on_outcome(outcome)
-    return WorkloadRunOutcome(workload, outcomes, golden_cache=golden_cache)
+    return outcomes
 
 
-def _run_adaptive(
-    config: ArchCampaignConfig,
-    workload: str,
-    planner_config,
-    points: list[int],
-    bundle,
-    trace,
-    memop_counts,
-    wrng: DeterministicRng,
-    completed: Collection[str],
-    guard: TrialGuard,
-    on_outcome: Callable[[TrialOutcome], None] | None,
-    shard: tuple[int, int] | None,
-    lockstep: bool,
-    prior: Collection[TrialOutcome],
-    planner_round: int | None,
-    allocation: tuple[tuple[int, int, int], ...] | None,
-    golden_cache,
-) -> WorkloadRunOutcome:
-    """Adaptive (planner-driven) execution of one workload.
-
-    Three entry modes share one round executor:
-
-    - ``planner_round is None``: the full local loop — plan a round,
-      execute it, feed every outcome back, repeat until the planner
-      stops. Journaled ``prior`` outcomes are replayed into the planner
-      instead of re-executed, which is how a resumed run reconstructs
-      the identical round structure (planner decisions are pure
-      functions of the cumulative tallies at round boundaries).
-    - ``planner_round == 0``: the service's round-0 unit — derive the
-      prescreen set, plan and execute round 0 only, and report the
-      point/prescreen metadata so the scheduler can replay the planner
-      from stored trial rows.
-    - ``planner_round > 0``: execute the explicit ``allocation`` the
-      scheduler computed (later rounds never touch prescreened points,
-      so no planner state is needed here).
-
-    Prescreened points emit fabricated masked records (bit drawn from
-    the same per-trial stream, so a differential full-simulation run is
-    byte-identical) through the same guard; they cost no simulation and
-    no budget.
-    """
-    from repro.planner import (
-        CampaignPlanner,
-        prescreen_dead_points,
-        resolve_budget,
-    )
-
-    if planner_round is None and shard is not None:
-        raise ValueError(
-            "sharded adaptive execution requires per-round scheduling "
-            "(pass planner_round/allocation)"
-        )
-    prior_by_key = {(o.point, o.index): o for o in prior}
-    budget = resolve_budget(planner_config, config)
-    fresh: list[TrialOutcome] = []
-
-    def run_round(
-        alloc: list[tuple[int, int, int]],
-        prescreened: set[int],
-    ) -> list[tuple[int, bool, bool]]:
-        # Expand the allocation into concrete (index, bit, rng) trials,
-        # respecting the shard stride; replayed prior trials stay in the
-        # emission walk (they feed the planner) but are not re-executed.
-        entries: list[tuple[int, list[tuple[int, int, DeterministicRng]]]] = []
-        for point, start, count in alloc:
-            pend: list[tuple[int, int, DeterministicRng]] = []
-            for index in range(start, start + count):
-                if shard is not None and index % shard[1] != shard[0]:
-                    continue
-                trial_rng = wrng.child(f"trial:{point}:{index}")
-                pend.append(
-                    (index, config.fault_model.choose_bit(trial_rng),
-                     trial_rng)
-                )
-            entries.append((point, pend))
-        live_plan: list[tuple[int, list[tuple[int, int]]]] = []
-        for point, pend in entries:
-            if point in prescreened:
-                continue
-            todo = [(index, bit) for index, bit, _ in pend
-                    if (point, index) not in prior_by_key]
-            if todo:
-                live_plan.append((point, todo))
-
-        results: dict[tuple[int, int], ArchTrialResult] | None = None
-        prefix: ArchSimulator | None = None
-        if live_plan:
-            prefix = _prefix_simulator(bundle, trace, live_plan[0][0])
-            if lockstep:
-                try:
-                    results = run_lockstep_trials(
-                        config, workload, trace, memop_counts, prefix,
-                        live_plan,
-                    )
-                    missing = [
-                        (point, index)
-                        for point, todo in live_plan
-                        for index, _ in todo
-                        if (point, index) not in results
-                    ]
-                    if missing:
-                        raise AssertionError(
-                            f"lockstep scheduler dropped {len(missing)} "
-                            f"trials (first: {missing[0]})"
-                        )
-                except Exception as exc:
-                    warnings.warn(
-                        f"lockstep scheduler failed for {workload} "
-                        f"({type(exc).__name__}: {exc}); falling back to "
-                        f"serial trials",
-                        CampaignWorkloadWarning,
-                        stacklevel=3,
-                    )
-                    results = None
-                    prefix = _prefix_simulator(bundle, trace,
-                                               live_plan[0][0])
-
-        observations: list[tuple[int, bool, bool]] = []
-        for point, pend in entries:
-            needs_serial = (
-                results is None
-                and prefix is not None
-                and point not in prescreened
-                and any((point, index) not in prior_by_key
-                        for index, _, _ in pend)
-            )
-            if needs_serial:
-                if prefix.retired < point and prefix.running:
-                    prefix.run(point - prefix.retired)
-                    prefix.resume()
-                if not prefix.running:  # pragma: no cover - golden ran fine
-                    break
-            for index, bit, trial_rng in pend:
-                outcome = prior_by_key.get((point, index))
-                if outcome is None:
-                    key = trial_key(workload, point, index)
-                    if point in prescreened:
-                        record = ArchTrialResult(
-                            workload=workload, inject_step=point, bit=bit
-                        )
-                        runner = lambda record=record: record
-                    elif results is not None:
-                        runner = (
-                            lambda point=point, index=index:
-                            results[(point, index)]
-                        )
-                    else:
-                        runner = (
-                            lambda point=point, bit=bit: _run_trial(
-                                workload, prefix, trace, memop_counts,
-                                point, bit, config,
-                            )
-                        )
-                    outcome = guard.run(
-                        key, workload, point, index, runner,
-                        descriptor={
-                            "level": "arch",
-                            "seed": config.seed,
-                            "trial_seed": trial_rng.seed,
-                            "bit": bit,
-                        },
-                    )
-                    fresh.append(outcome)
-                    if on_outcome is not None:
-                        on_outcome(outcome)
-                record_failing = (
-                    bool(outcome.record.failing)
-                    if outcome.record is not None else False
-                )
-                observations.append(
-                    (point, outcome.status == OUTCOME_OK, record_failing)
-                )
-        return observations
-
-    if planner_round is not None and planner_round > 0:
-        if allocation is None:
-            raise ValueError(
-                f"round {planner_round} execution needs an explicit "
-                f"allocation"
-            )
-        run_round(sorted(allocation), set())
-        return WorkloadRunOutcome(
-            workload, fresh, golden_cache=golden_cache,
-            planner_points=tuple(points),
-        )
-
-    prescreened = (
-        prescreen_dead_points(trace, points)
-        if planner_config.prescreen else set()
-    )
-    planner = CampaignPlanner(
-        planner_config, points, prescreened, budget=budget
-    )
-    if planner_round == 0:
-        run_round(planner.plan_round(), prescreened)
-        return WorkloadRunOutcome(
-            workload, fresh, golden_cache=golden_cache,
-            planner_points=tuple(points),
-            prescreened_points=tuple(sorted(prescreened)),
-        )
-
-    while True:
-        alloc = planner.plan_round()
-        if not alloc:
-            break
-        for point, ok, failing in run_round(alloc, prescreened):
-            planner.observe(point, ok=ok, failing=failing)
-    return WorkloadRunOutcome(
-        workload, fresh, golden_cache=golden_cache,
-        planner_points=tuple(points),
-        prescreened_points=tuple(sorted(prescreened)),
-        planner_summary=planner.summary(),
-    )
-
-
-def _first_pending_uniform(
-    workload: str,
-    points: list[int],
-    base_trials: int,
-    extra: int,
-    completed: Collection[str],
-    shard: tuple[int, int] | None,
-) -> int | None:
-    """The earliest uniform-split injection point with a pending trial."""
-    for position, point in enumerate(points):
-        per_point = base_trials + (1 if position < extra else 0)
-        for index in range(per_point):
-            if shard is not None and index % shard[1] != shard[0]:
-                continue
-            if trial_key(workload, point, index) in completed:
-                continue
-            return point
-    return None
-
-
-def _prefix_simulator(
-    bundle,
-    trace,
-    first_pending: int | None,
-) -> ArchSimulator:
+def _prefix_simulator(bundle, trace, first_point: int) -> ArchSimulator:
     """A prefix simulator positioned as far forward as snapshots allow.
 
-    The earliest injection point with any pending trial (respecting the
-    shard stride and already-journaled keys) bounds how far we may fast-
-    forward; the nearest snapshot at or before it is restored. With no
-    snapshots (uncached runs) or none early enough, the walk starts from
-    reset — exactly the pre-cache behaviour.
+    ``first_point``, the earliest injection point with a pending trial,
+    bounds how far we may fast-forward; the nearest snapshot at or before
+    it is restored. With no snapshots (uncached runs) or none early
+    enough, the walk starts from reset — exactly the pre-cache behaviour.
     """
     best = None
-    if first_pending is not None:
-        for snap in trace.snapshots:
-            if snap.retired <= first_pending and (
-                best is None or snap.retired > best.retired
-            ):
-                best = snap
+    for snap in trace.snapshots:
+        if snap.retired <= first_point and (
+            best is None or snap.retired > best.retired
+        ):
+            best = snap
     if best is None:
         return load_program(bundle.program)
     sim = ArchSimulator(

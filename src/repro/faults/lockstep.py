@@ -232,6 +232,20 @@ class _MetaCache:
         return meta
 
 
+def golden_modifies_code(trace) -> bool:
+    """Does the golden run store into a page it fetched instructions from?
+
+    Per-PC metadata decoded from memory describes every execution of that
+    PC only while the traced instruction words are immutable; both the
+    scheduler's look-ahead and the prescreen refuse to trust it otherwise.
+    """
+    executed = {pc >> PAGE_SHIFT for pc in trace.pcs}
+    return any(
+        kind == "S" and (addr >> PAGE_SHIFT) in executed
+        for kind, addr, _value in trace.memops
+    )
+
+
 def register_touch_steps(
     trace, memory
 ) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
@@ -244,8 +258,8 @@ def register_touch_steps(
     fault propagates) or *overwrites* it without reading (the fault is
     provably dead). ``memory`` must hold the traced instruction words —
     callers are responsible for ruling out self-modifying golden code
-    first, exactly as the lookahead path does via its modifies-code
-    guard.
+    first with :func:`golden_modifies_code`, exactly as the lookahead
+    path does.
 
     Returns ``(reads, writes)``: register -> ascending trace-step lists.
     An instruction that both reads and writes a register (e.g. ``addq
@@ -346,20 +360,13 @@ class _Engine:
         # Look-ahead (sleep) structures; None until built, disabled when
         # golden stores into executed pages (the traced words could change
         # under the precomputed metadata).
-        self.sleep_ok = not self._golden_modifies_code()
+        self.sleep_ok = not golden_modifies_code(trace)
         self._touch_steps: dict[int, list[int]] | None = None
         self._fetch_chunks: dict[int, list[int]] | None = None
         self._memop_chunks: dict[int, list[int]] | None = None
         self._memop_step: list[int] | None = None
 
     # ------------------------------------------------------------ helpers
-
-    def _golden_modifies_code(self) -> bool:
-        executed = {pc >> PAGE_SHIFT for pc in self.pcs}
-        return any(
-            kind == "S" and (addr >> PAGE_SHIFT) in executed
-            for kind, addr, _value in self.memops
-        )
 
     def _build_lookahead(self) -> None:
         """Per-register touch indices and memop/fetch chunk indices.

@@ -37,7 +37,7 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_right
 from collections import deque
-from collections.abc import Callable, Collection
+from collections.abc import Callable, Container
 from dataclasses import dataclass, field
 from operator import itemgetter
 from time import perf_counter
@@ -51,6 +51,7 @@ from repro.campaign.outcomes import (
     trial_key,
     validate_shard,
 )
+from repro.campaign.plan import pending_trials, uniform_allocation
 from repro.faults.classify import (
     UARCH_CATEGORIES,
     UarchTrialResult,
@@ -309,7 +310,7 @@ def run_uarch_campaign(config: UarchCampaignConfig) -> UarchCampaignResult:
 def run_workload_trials(
     config: UarchCampaignConfig,
     workload: str,
-    completed: Collection[str] = frozenset(),
+    completed: Container[str] = frozenset(),
     guard: TrialGuard | None = None,
     on_outcome: Callable[[TrialOutcome], None] | None = None,
     shard: tuple[int, int] | None = None,
@@ -383,20 +384,10 @@ def run_workload_trials(
         )
         return WorkloadRunOutcome(workload, skip_reason=reason)
 
-    # Distribute trials so exactly trials_per_workload run: the first
-    # ``extra`` points (in sorted order) take one more than the rest.
-    base_trials, extra = divmod(config.trials_per_workload, point_count)
-    plan: list[tuple[int, list[tuple[int, DeterministicRng]]]] = []
-    for position, point in enumerate(points):
-        per_point = base_trials + (1 if position < extra else 0)
-        pending = [
-            (index, wrng.child(f"trial:{point}:{index}"))
-            for index in range(per_point)
-            if (shard is None or index % shard[1] == shard[0])
-            and trial_key(workload, point, index) not in completed
-        ]
-        if pending:
-            plan.append((point, pending))
+    plan = pending_trials(
+        wrng, workload, uniform_allocation(points, config.trials_per_workload),
+        shard, completed,
+    )
     prefix = load_pipeline(
         bundle.program,
         record_cache_symptoms=config.record_cache_symptoms,

@@ -36,16 +36,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Iterable
 
-from repro.arch.memory import PAGE_SHIFT
-from repro.faults.lockstep import register_touch_steps, written_register
-
-
-def _golden_modifies_code(trace) -> bool:
-    executed = {pc >> PAGE_SHIFT for pc in trace.pcs}
-    return any(
-        kind == "S" and (addr >> PAGE_SHIFT) in executed
-        for kind, addr, _value in trace.memops
-    )
+from repro.faults.lockstep import (
+    golden_modifies_code,
+    register_touch_steps,
+    written_register,
+)
 
 
 def _first_after(steps: list[int] | None, step: int) -> int | None:
@@ -68,7 +63,7 @@ def prescreen_dead_points(trace, points: Iterable[int]) -> set[int]:
     candidates = sorted(set(points))
     if not candidates or not trace.halted:
         return set()
-    if _golden_modifies_code(trace):
+    if golden_modifies_code(trace):
         return set()
     memory = trace.final_memory
     reads, writes = register_touch_steps(trace, memory)

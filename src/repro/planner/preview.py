@@ -16,7 +16,6 @@ from typing import Any
 
 from repro.planner.core import CampaignPlanner, PlannerConfig, resolve_budget
 from repro.planner.prescreen import prescreen_dead_points
-from repro.util.rng import DeterministicRng
 from repro.util.tables import format_table
 
 
@@ -30,15 +29,10 @@ def preview_plan(
     of round 0 (the planner's only unconditional spend); a workload
     whose golden run fails carries ``skip_reason`` instead.
     """
-    from repro.faults.arch_campaign import _load_golden
+    from repro.faults.arch_campaign import _load_golden, sample_points
 
     rows: list[dict] = []
     for workload in config.workloads:
-        wrng = (
-            DeterministicRng(config.seed)
-            .child("arch-campaign")
-            .child(workload)
-        )
         try:
             _bundle, trace, _ = _load_golden(config, workload, cache)
         except Exception as exc:
@@ -47,10 +41,7 @@ def preview_plan(
                 "skip_reason": f"{type(exc).__name__}: {exc}",
             })
             continue
-        point_count = min(config.injection_points, len(trace.writer_steps))
-        points = sorted(
-            wrng.child("points").sample(trace.writer_steps, point_count)
-        )
+        points = sample_points(config, workload, trace)
         prescreened = (
             prescreen_dead_points(trace, points)
             if planner.prescreen else set()

@@ -25,10 +25,9 @@ clients (``repro submit`` / ``repro jobs`` / any curl):
 
 workers (``repro worker`` or anything speaking the lease protocol):
 
-- ``POST /api/lease`` — lease the next work unit (``{"unit": null}``
-  when idle). With ``{"count": N}`` in the body, lease up to N units in
-  one call (one scheduler transaction, one lease clock per batch) and
-  answer ``{"leases": [...], "count": n}`` instead.
+- ``POST /api/lease`` — lease up to ``{"count": N}`` units (default 1)
+  in one call (one scheduler transaction, one lease clock per batch);
+  answers ``{"leases": [...], "count": n}``, with no leases when idle.
 - ``POST /api/jobs/<id>/units/<unit>/heartbeat`` — extend a lease.
 - ``POST /api/jobs/<id>/units/<unit>/complete`` — deliver results,
   either whole or as one of ``{"chunk": {"index": i, "count": n}}``
@@ -273,25 +272,17 @@ class CampaignService:
             elif route == ["lease"] and method == "POST":
                 payload = self._json_payload(body)
                 worker = str(payload.get("worker") or "anonymous")
-                if "count" in payload:
-                    count = payload["count"]
-                    if not isinstance(count, int) or isinstance(count, bool) \
-                            or not 1 <= count <= MAX_LEASE_BATCH:
-                        raise ServiceError(
-                            f"lease count must be an integer in "
-                            f"1..{MAX_LEASE_BATCH}, got {count!r}"
-                        )
-                    leases = self.scheduler.lease_batch(worker, count)
-                    await self._send_json(
-                        writer, 200,
-                        {"leases": leases, "count": len(leases)},
+                count = payload.get("count", 1)
+                if not isinstance(count, int) or isinstance(count, bool) \
+                        or not 1 <= count <= MAX_LEASE_BATCH:
+                    raise ServiceError(
+                        f"lease count must be an integer in "
+                        f"1..{MAX_LEASE_BATCH}, got {count!r}"
                     )
-                else:
-                    lease = self.scheduler.lease(worker)
-                    await self._send_json(
-                        writer, 200,
-                        lease if lease is not None else {"unit": None},
-                    )
+                leases = self.scheduler.lease_batch(worker, count)
+                await self._send_json(
+                    writer, 200, {"leases": leases, "count": len(leases)}
+                )
             elif (
                 len(route) == 5 and route[0] == "jobs" and route[2] == "units"
                 and method == "POST"

@@ -309,20 +309,14 @@ class ServiceClient:
 
     # ----------------------------------------------------- worker side
 
-    def lease(self, worker: str) -> dict | None:
-        lease = self._request(
-            "POST", "/api/lease", {"worker": worker}, endpoint="lease"
-        )
-        return lease if lease.get("unit") else None
-
     def lease_batch(self, worker: str, count: int) -> list[dict]:
         """Lease up to ``count`` units in one round trip.
 
-        Returns a (possibly empty) list of lease dicts, each shaped like
-        a single :meth:`lease` response. Safe to retry: the scheduler
-        re-issues the units this worker already holds before granting
-        fresh ones, so a retry after a lost response gets the same batch
-        back.
+        Returns a (possibly empty) list of lease dicts, each
+        ``{"unit": ..., "spec": ..., "lease_ttl": ..., "attempt": ...}``.
+        Safe to retry: the scheduler re-issues the units this worker
+        already holds before granting fresh ones, so a retry after a lost
+        response gets the same batch back.
         """
         response = self._request(
             "POST", "/api/lease", {"worker": worker, "count": count},

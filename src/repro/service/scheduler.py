@@ -243,24 +243,15 @@ class CampaignScheduler:
 
     # ------------------------------------------------------ the lease protocol
 
-    def lease(self, worker: str) -> dict | None:
-        """Lease the next available work unit to ``worker``.
-
-        Returns ``{"unit": ..., "spec": ...}`` or ``None`` when the queue
-        is idle — the unbatched protocol, a batch of one.
-        """
-        leases = self.lease_batch(worker, 1)
-        return leases[0] if leases else None
-
     def lease_batch(self, worker: str, count: int) -> list[dict]:
         """Lease up to ``count`` work units to ``worker`` in one call.
 
-        Returns a (possibly empty) list of lease dicts, each the same
-        shape as a single :meth:`lease` response. Expired leases are
-        swept first so a stalled unit is re-offered before untouched
-        ones of later jobs; the whole grant happens in one store
-        transaction, and every fresh unit in the batch shares one lease
-        clock reading — a batch expires as a whole, not raggedly.
+        Returns a (possibly empty) list of lease dicts, each
+        ``{"unit": ..., "spec": ..., "lease_ttl": ..., "attempt": ...}``.
+        Expired leases are swept first so a stalled unit is re-offered
+        before untouched ones of later jobs; the whole grant happens in one
+        store transaction, and every fresh unit in the batch shares one
+        lease clock reading — a batch expires as a whole, not raggedly.
 
         Units the worker already holds live leases on come first: a
         batched lease response lost in transit must be re-issued to the
@@ -657,11 +648,10 @@ class CampaignScheduler:
                 continue
             # This round's trials are incomplete: dispatch its units if
             # they have not been emitted yet, then wait for completes.
-            shards = spec.shards_per_workload
-            if f"{workload}:r{round_number}:0of{shards}" not in emitted:
-                new_units = round_units(
-                    job_id, spec, workload, round_number, list(allocation)
-                )
+            new_units = round_units(
+                job_id, spec, workload, round_number, allocation
+            )
+            if new_units[0].unit_id not in emitted:
                 self.store.add_units(new_units)
                 self.counters.bump("planner_rounds_dispatched")
                 self._emit(

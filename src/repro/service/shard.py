@@ -96,58 +96,46 @@ def shard_job(job_id: str, spec: JobSpec) -> list[WorkUnit]:
     Units are ordered workload-major (the spec's workload order, which is
     also the serial runner's execution order) so a single worker draining
     the queue processes the job in the same order a serial run would.
+    Adaptive jobs start with round 0 only; the scheduler emits each later
+    round's units once the previous round's trials have all landed.
     """
-    units: list[WorkUnit] = []
-    count = spec.shards_per_workload
-    for workload in spec.config.workloads:
-        for index in range(count):
-            if spec.planner is not None:
-                # Adaptive jobs start with round 0 only; the scheduler
-                # emits each later round's units once the previous
-                # round's trials have all landed.
-                unit = WorkUnit(
-                    job_id=job_id,
-                    unit_id=f"{workload}:r0:{index}of{count}",
-                    workload=workload,
-                    shard_index=index,
-                    shard_count=count,
-                    round=0,
-                )
-            else:
-                unit = WorkUnit(
-                    job_id=job_id,
-                    unit_id=f"{workload}:{index}of{count}",
-                    workload=workload,
-                    shard_index=index,
-                    shard_count=count,
-                )
-            units.append(unit)
-    return units
+    return [
+        unit
+        for workload in spec.config.workloads
+        for unit in round_units(job_id, spec, workload)
+    ]
 
 
 def round_units(
     job_id: str,
     spec: JobSpec,
     workload: str,
-    round_number: int,
-    allocation: list[tuple[int, int, int]],
+    round_number: int = 0,
+    allocation: list[tuple[int, int, int]] | None = None,
 ) -> list[WorkUnit]:
-    """The work units for one later planner round of one workload.
+    """The work units of one round of one workload; every unit is named here.
 
-    Every unit carries the full allocation; its shard stride selects the
-    trial-index slice it executes, so the union of a round's units is
-    exactly the round — the same invariant as uniform sharding.
+    A unit id is ``{workload}:{i}of{n}`` in round 0 (the whole of a
+    uniform job) and ``{workload}:r{k}:{i}of{n}`` in a later planner
+    round ``k``. Later rounds carry the full allocation; each unit's
+    shard stride selects the trial-index slice it executes, so the union
+    of a round's units is exactly the round — the same invariant as
+    uniform sharding.
     """
     count = spec.shards_per_workload
+    tag = f"r{round_number}:" if round_number else ""
     return [
         WorkUnit(
             job_id=job_id,
-            unit_id=f"{workload}:r{round_number}:{index}of{count}",
+            unit_id=f"{workload}:{tag}{index}of{count}",
             workload=workload,
             shard_index=index,
             shard_count=count,
             round=round_number,
-            allocation=tuple(tuple(entry) for entry in allocation),
+            allocation=(
+                tuple(tuple(entry) for entry in allocation)
+                if allocation is not None else None
+            ),
         )
         for index in range(count)
     ]

@@ -275,11 +275,6 @@ class ResultStore:
             units.append(unit)
         return units
 
-    def lease_next(self, worker: str, now: float, ttl: float) -> dict | None:
-        """Lease the oldest pending unit of the oldest active job, if any."""
-        units = self.lease_batch(worker, now, ttl, limit=1)
-        return units[0] if units else None
-
     def reissue_leases(
         self, worker: str, now: float, ttl: float, limit: int
     ) -> list[dict]:
@@ -316,11 +311,6 @@ class ResultStore:
             unit["lease_expiry"] = expiry
             units.append(unit)
         return units
-
-    def reissue_lease(self, worker: str, now: float, ttl: float) -> dict | None:
-        """Single-unit :meth:`reissue_leases` (the unbatched protocol)."""
-        units = self.reissue_leases(worker, now, ttl, limit=1)
-        return units[0] if units else None
 
     def heartbeat(
         self, job_id: str, unit_id: str, worker: str, expiry: float

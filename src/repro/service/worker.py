@@ -324,10 +324,6 @@ class LocalWorkerPool:
                 continue
             await self._run_batch(name, leases)
 
-    async def _run_unit(self, name: str, lease: dict) -> None:
-        """Run a single leased unit (batch of one)."""
-        await self._run_batch(name, [lease])
-
     async def _run_batch(self, name: str, leases: list[dict]) -> None:
         """Pipeline a leased batch through the executor.
 
@@ -396,7 +392,7 @@ class RemoteWorker:
 
     Resilience posture (all counters are public attributes):
 
-    - ``lease()`` failures (service unreachable, breaker open) back off
+    - Lease failures (service unreachable, breaker open) back off
       for ``poll_interval`` and try again — a worker never dies because
       the scheduler restarted.
     - Heartbeats retry on any delivery error (``heartbeat_retries``) and
@@ -497,17 +493,14 @@ class RemoteWorker:
         return self.units_done
 
     def _lease(self) -> list[dict]:
-        """Lease the next batch of work (one unit when unbatched)."""
+        """Lease the next batch of work."""
         count = self.lease_batch
         if self.max_units is not None:
             count = min(
                 count,
                 max(1, self.max_units - self.units_done - self.units_failed),
             )
-        if count > 1:
-            return self.client.lease_batch(self.name, count)
-        lease = self.client.lease(self.name)
-        return [lease] if lease is not None else []
+        return self.client.lease_batch(self.name, count)
 
     def _fail_rejected(self, job_id: str, unit_id: str) -> None:
         """Surrender a re-issued lease whose results the service rejects."""
@@ -533,10 +526,6 @@ class RemoteWorker:
         self.outbox_replayed += delivered
         self.units_bounced += bounced
         return bool(self.outbox.pending())
-
-    def _run_unit(self, lease: dict) -> None:
-        """Run one leased unit (the unbatched protocol: a batch of one)."""
-        self._run_batch([lease])
 
     def _run_batch(self, leases: list[dict]) -> None:
         """Execute a leased batch, unit by unit, under one beat thread.

@@ -283,10 +283,8 @@ class TestArchCampaignIdentity:
             scheduler = CampaignScheduler(store, str(tmp_path))
             job_id = scheduler.submit(spec)["job_id"]
             hits = 0
-            while True:
-                lease = scheduler.lease("cache-test-worker")
-                if lease is None:
-                    break
+            while leases := scheduler.lease_batch("cache-test-worker", 1):
+                [lease] = leases
                 unit = lease["unit"]
                 result = execute_unit(lease["spec"], unit, cache_dir)
                 hits += result["golden_cache"] == "hit"

@@ -1,6 +1,7 @@
 """The resilient campaign runner: containment, resume, parallelism."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -291,15 +292,22 @@ class TestJournalAndResume:
 
 
 class TestParallelExecution:
-    def test_jobs_match_serial_results(self):
+    def test_jobs_match_serial_results(self, tmp_path):
+        """parser outlasts gcc, so gcc finishes first; the journal is
+        still written in workload order, byte for byte the serial one."""
         config = ArchCampaignConfig(
             trials_per_workload=6, injection_points=3,
-            workloads=("gcc", "gzip"),
+            workloads=("parser", "gcc"),
         )
-        serial = run_campaign("arch", config)
-        parallel = run_campaign("arch", config, jobs=2)
+        serial_journal = str(tmp_path / "serial.jsonl")
+        parallel_journal = str(tmp_path / "parallel.jsonl")
+        serial = run_campaign("arch", config, journal_path=serial_journal)
+        parallel = run_campaign(
+            "arch", config, journal_path=parallel_journal, jobs=2
+        )
         assert parallel.result.trials == serial.result.trials
         assert parallel.result.table() == serial.result.table()
+        assert open(serial_journal).read() == open(parallel_journal).read()
 
     def test_parallel_journal_resumes_serially(self, tmp_path):
         config = ArchCampaignConfig(
@@ -677,10 +685,13 @@ class TestMemhierCampaign:
         assert report.result.total_bits > 0
 
     def test_parallel_and_serial_journals_are_identical(self, tmp_path):
+        # Two workloads, the slow one first, so the parallel run finishes
+        # them out of workload order.
+        config = replace(MEMHIER_CONFIG, workloads=("parser", "gcc"))
         serial = str(tmp_path / "serial.jsonl")
         parallel = str(tmp_path / "parallel.jsonl")
-        run_campaign("uarch", MEMHIER_CONFIG, journal_path=serial)
-        run_campaign("uarch", MEMHIER_CONFIG, journal_path=parallel, jobs=2)
+        run_campaign("uarch", config, journal_path=serial)
+        run_campaign("uarch", config, journal_path=parallel, jobs=2)
         assert open(serial).read() == open(parallel).read()
 
     def test_interrupted_memhier_run_resumes_bit_identical(self, tmp_path):

@@ -18,8 +18,8 @@ from repro.faults.lockstep import LockstepStats, run_lockstep_trials
 from repro.isa import assemble
 from repro.isa import opcodes as op
 from repro.isa.encoding import HALT_WORD, encode_memory, try_decode_word
+from repro.planner import PlannerConfig
 from repro.service import CampaignScheduler, JobSpec, ResultStore, execute_unit
-from repro.util.rng import DeterministicRng
 from repro.workloads import WORKLOAD_NAMES, WorkloadBundle, build_workload
 
 SMALL = dict(trials_per_workload=18, injection_points=6)
@@ -32,16 +32,6 @@ def entries(outcome):
 def read_lines(path):
     with open(path, "rb") as handle:
         return handle.read().splitlines()
-
-
-def campaign_points(config, workload, trace):
-    """The injection points run_workload_trials will select — the same
-    pure (seed, label) derivation the campaign performs."""
-    wrng = (
-        DeterministicRng(config.seed).child("arch-campaign").child(workload)
-    )
-    count = min(config.injection_points, len(trace.writer_steps))
-    return sorted(wrng.child("points").sample(trace.writer_steps, count))
 
 
 # ----------------------------------------------------- serial-twin identity
@@ -149,10 +139,8 @@ class TestCampaignJournals:
         try:
             scheduler = CampaignScheduler(store, str(tmp_path))
             job_id = scheduler.submit(spec)["job_id"]
-            while True:
-                lease = scheduler.lease("lockstep-test-worker")
-                if lease is None:
-                    break
+            while leases := scheduler.lease_batch("lockstep-test-worker", 1):
+                [lease] = leases
                 unit = lease["unit"]
                 result = execute_unit(lease["spec"], unit, None)
                 scheduler.complete(
@@ -165,14 +153,21 @@ class TestCampaignJournals:
         finally:
             store.close()
 
+    @pytest.mark.parametrize(
+        "planner",
+        [None, PlannerConfig(margin=0.3, min_trials=2, round_trials=2)],
+        ids=["uniform", "adaptive"],
+    )
     def test_scheduler_failure_falls_back_to_serial(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, planner
     ):
+        """Every round of either allocation falls back to the serial path
+        and still writes the serial twin's records."""
         config = ArchCampaignConfig(
-            trials_per_workload=6, injection_points=3, workloads=("gcc",)
+            trials_per_workload=12, injection_points=3, workloads=("gcc",)
         )
         reference = arch_campaign.run_workload_trials(
-            config, "gcc", lockstep=False
+            config, "gcc", lockstep=False, planner=planner
         )
 
         def broken(*args, **kwargs):
@@ -180,9 +175,13 @@ class TestCampaignJournals:
 
         monkeypatch.setattr(arch_campaign, "run_lockstep_trials", broken)
         with pytest.warns(CampaignWorkloadWarning, match="falling back"):
-            outcome = arch_campaign.run_workload_trials(config, "gcc")
+            outcome = arch_campaign.run_workload_trials(
+                config, "gcc", planner=planner
+            )
         assert outcome.skip_reason is None
         assert entries(outcome) == entries(reference)
+        if planner is not None:
+            assert outcome.planner_summary["rounds"] >= 2
 
 
 # --------------------------------------------- snapshot-boundary fast-forward
@@ -205,7 +204,7 @@ class TestSnapshotBoundaryFork:
     def test_fork_at_restored_snapshot(
         self, tmp_path, monkeypatch, config, gcc_bundle, gcc_trace
     ):
-        points = campaign_points(config, "gcc", gcc_trace)
+        points = arch_campaign.sample_points(config, "gcc", gcc_trace)
         assert points[0] > 0
         # A snapshot cadence equal to the first injection point puts a
         # snapshot *exactly* at the first fork: the warm prefix restores
@@ -231,7 +230,7 @@ class TestSnapshotBoundaryFork:
     def test_sharded_fork_at_restored_snapshot(
         self, tmp_path, monkeypatch, config, gcc_trace
     ):
-        points = campaign_points(config, "gcc", gcc_trace)
+        points = arch_campaign.sample_points(config, "gcc", gcc_trace)
         monkeypatch.setattr(
             arch_campaign, "ARCH_SNAPSHOT_INTERVAL", points[0]
         )
@@ -256,7 +255,7 @@ class TestSnapshotBoundaryFork:
         """A resumed run whose first *pending* trial sits exactly on a
         snapshot boundary: everything at the first point is already
         journaled, so the restore lands at the second point."""
-        points = campaign_points(config, "gcc", gcc_trace)
+        points = arch_campaign.sample_points(config, "gcc", gcc_trace)
         assert points[1] > points[0]
         monkeypatch.setattr(
             arch_campaign, "ARCH_SNAPSHOT_INTERVAL", points[1]
@@ -294,7 +293,7 @@ class TestLockstepStats:
         trace = load_program(bundle.program).run_with_trace(
             config.max_instructions
         )
-        points = campaign_points(config, "gzip", trace)
+        points = arch_campaign.sample_points(config, "gzip", trace)
         plan = [(point, [(index, 7 + index) for index in range(4)])
                 for point in points]
         stats = LockstepStats()

@@ -224,23 +224,15 @@ class TestPrescreenDifferential:
             _load_golden,
             _prefix_simulator,
             _run_trial,
+            sample_points,
         )
         from repro.faults.classify import ArchTrialResult
-        from repro.util.rng import DeterministicRng
 
         config = ArchCampaignConfig(trials_per_workload=40, injection_points=20)
         total_dead = 0
         for workload in config.workloads:
-            wrng = (
-                DeterministicRng(config.seed)
-                .child("arch-campaign")
-                .child(workload)
-            )
             bundle, trace, _ = _load_golden(config, workload, None)
-            count = min(config.injection_points, len(trace.writer_steps))
-            points = sorted(
-                wrng.child("points").sample(trace.writer_steps, count)
-            )
+            points = sample_points(config, workload, trace)
             dead = prescreen_dead_points(trace, points)
             assert dead <= set(points)
             total_dead += len(dead)
@@ -272,6 +264,14 @@ class TestAdaptiveDeterminism:
         serial, _ = _adaptive_journal(tmp_path, "serial.jsonl", jobs=1)
         parallel, _ = _adaptive_journal(tmp_path, "parallel.jsonl", jobs=4)
         assert filecmp.cmp(serial, parallel, shallow=False)
+
+    def test_serial_trial_path_journal_is_byte_identical(self, tmp_path):
+        """Every planner round through the serial per-trial path writes the
+        lockstep journal byte for byte."""
+        lock, lock_report = _adaptive_journal(tmp_path, "lockstep.jsonl")
+        serial, _ = _adaptive_journal(tmp_path, "serial.jsonl", lockstep=False)
+        assert lock_report.planner_totals["rounds_max"] >= 2
+        assert filecmp.cmp(lock, serial, shallow=False)
 
     def test_resume_mid_round_is_byte_identical(self, tmp_path):
         full, full_report = _adaptive_journal(tmp_path, "full.jsonl")
@@ -360,11 +360,12 @@ class TestServiceAdaptive:
         from repro.service.worker import execute_unit
 
         for _ in range(200):
-            lease = scheduler.lease("w0")
-            if lease is None:
+            leases = scheduler.lease_batch("w0", 1)
+            if not leases:
                 if scheduler.job_view(job_id)["state"] == "done":
                     return
                 continue
+            [lease] = leases
             result = execute_unit(lease["spec"], lease["unit"])
             assert scheduler.complete(
                 lease["unit"]["job_id"], lease["unit"]["unit_id"], "w0",
@@ -413,7 +414,8 @@ class TestServiceAdaptive:
         # process dies inside complete() before the planner dispatches
         # the next round (or finalizes anything).
         first._maybe_finalize = lambda job_id: None
-        while (lease := first.lease("w0")) is not None:
+        while leases := first.lease_batch("w0", 1):
+            [lease] = leases
             result = execute_unit(lease["spec"], lease["unit"])
             first.complete(
                 lease["unit"]["job_id"], lease["unit"]["unit_id"], "w0",

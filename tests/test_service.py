@@ -17,6 +17,7 @@ from repro.service import (
     execute_unit,
     shard_job,
 )
+from repro.service.shard import round_units
 from repro.util.journal import config_to_dict, stable_digest
 
 CONFIG_OPTIONS = {
@@ -58,10 +59,8 @@ def scheduler(tmp_path):
 
 def drain(scheduler, worker="w0", fail_units=()):
     """Run the lease protocol to completion as one synchronous worker."""
-    while True:
-        lease = scheduler.lease(worker)
-        if lease is None:
-            return
+    while leases := scheduler.lease_batch(worker, 1):
+        [lease] = leases
         unit = lease["unit"]
         if unit["unit_id"] in fail_units:
             scheduler.fail(
@@ -124,6 +123,23 @@ class TestSharding:
         ]
         assert all(u.shard == (u.shard_index, 2) for u in units)
 
+    def test_one_function_names_every_unit(self):
+        """Round 0 is ``{workload}:{i}of{n}`` for uniform and adaptive jobs
+        alike; a later planner round adds an ``r{k}:`` tag."""
+        options = {**CONFIG_OPTIONS, "workloads": ["gcc"]}
+        uniform = make_spec(config=options, shards=2)
+        adaptive = make_spec(
+            config=options, shards=2,
+            planner={"margin": 0.3, "min_trials": 2, "round_trials": 2},
+        )
+        for spec in (uniform, adaptive):
+            units = shard_job("job-1", spec)
+            assert [u.unit_id for u in units] == ["gcc:0of2", "gcc:1of2"]
+            assert all(u.round == 0 and u.allocation is None for u in units)
+        later = round_units("job-1", adaptive, "gcc", 2, [(5, 2, 2)])
+        assert [u.unit_id for u in later] == ["gcc:r2:0of2", "gcc:r2:1of2"]
+        assert all(u.round == 2 and u.allocation == ((5, 2, 2),) for u in later)
+
     def test_single_shard_maps_to_whole_workload(self):
         (unit,) = shard_job("job-1", make_spec())
         assert unit.shard is None
@@ -172,7 +188,7 @@ class TestResultStore:
             WorkUnit("b", "gcc:0of1", "gcc", 0, 1),
             WorkUnit("a", "gcc:0of1", "gcc", 0, 1),
         ])
-        leased = store.lease_next("w", now=10.0, ttl=5.0)
+        [leased] = store.lease_batch("w", now=10.0, ttl=5.0, limit=1)
         assert leased["job_id"] == "a"  # oldest job first, not insert order
         store.close()
 
@@ -180,7 +196,7 @@ class TestResultStore:
         store = ResultStore(":memory:")
         store.create_job("a", 1, "arch", {}, created=0.0)
         store.add_units([WorkUnit("a", "gcc:0of1", "gcc", 0, 1)])
-        store.lease_next("w1", now=0.0, ttl=5.0)
+        store.lease_batch("w1", now=0.0, ttl=5.0, limit=1)
         assert not store.heartbeat("a", "gcc:0of1", "w2", expiry=99.0)
         assert not store.complete_unit(
             "a", "gcc:0of1", "w2", skip_reason=None, total_bits=0, metrics=None
@@ -226,9 +242,8 @@ class TestSchedulerEndToEnd:
         """A worker that leases a unit and dies (no heartbeat, no report)
         loses the lease after the TTL; another worker completes the job."""
         scheduler.submit(make_spec())
-        lease = scheduler.lease("doomed")
-        assert lease is not None
-        assert scheduler.lease("idle") is None  # nothing else leasable
+        [lease] = scheduler.lease_batch("doomed", 1)
+        assert scheduler.lease_batch("idle", 1) == []  # nothing else leasable
 
         scheduler.test_clock.advance(61.0)  # past the 60 s TTL
         drain(scheduler, worker="survivor")
@@ -246,12 +261,12 @@ class TestSchedulerEndToEnd:
 
     def test_heartbeat_keeps_a_slow_unit_leased(self, scheduler):
         scheduler.submit(make_spec())
-        lease = scheduler.lease("slow")
+        [lease] = scheduler.lease_batch("slow", 1)
         unit = lease["unit"]
         for _ in range(5):
             scheduler.test_clock.advance(40.0)
             assert scheduler.heartbeat(unit["job_id"], unit["unit_id"], "slow")
-        assert scheduler.lease("thief") is None  # never expired
+        assert scheduler.lease_batch("thief", 1) == []  # never expired
         result = execute_unit(lease["spec"], unit)
         assert scheduler.complete(unit["job_id"], unit["unit_id"], "slow", result)
         assert scheduler.job_view(unit["job_id"])["state"] == "done"
@@ -282,10 +297,10 @@ class TestSchedulerEndToEnd:
             config={**CONFIG_OPTIONS, "workloads": ["gcc", "gzip"]}, shards=2
         ))
         job_id = view["job_id"]
-        lease = scheduler.lease("w0")
+        [lease] = scheduler.lease_batch("w0", 1)
         cancelled = scheduler.cancel(job_id)
         assert cancelled["state"] == "cancelled"
-        assert scheduler.lease("w0") is None
+        assert scheduler.lease_batch("w0", 1) == []
         # An in-flight result after cancellation is dropped.
         unit = lease["unit"]
         result = execute_unit(lease["spec"], unit)
@@ -328,7 +343,7 @@ class TestDuplicateCompletes:
         """A complete whose response was lost and retried (or replayed
         from the outbox) must settle, not bounce forever."""
         scheduler.submit(make_spec())
-        lease = scheduler.lease("w0")
+        [lease] = scheduler.lease_batch("w0", 1)
         unit = lease["unit"]
         result = execute_unit(lease["spec"], unit)
         assert scheduler.complete(unit["job_id"], unit["unit_id"], "w0", result)
@@ -339,7 +354,7 @@ class TestDuplicateCompletes:
 
     def test_duplicate_from_another_worker_still_bounces(self, scheduler):
         scheduler.submit(make_spec())
-        lease = scheduler.lease("w0")
+        [lease] = scheduler.lease_batch("w0", 1)
         unit = lease["unit"]
         result = execute_unit(lease["spec"], unit)
         assert scheduler.complete(unit["job_id"], unit["unit_id"], "w0", result)
@@ -357,8 +372,8 @@ class TestLeaseReissue:
         scheduler.submit(make_spec(
             config={**CONFIG_OPTIONS, "workloads": ["gcc", "gzip"]}
         ))
-        first = scheduler.lease("w0")
-        again = scheduler.lease("w0")
+        [first] = scheduler.lease_batch("w0", 1)
+        [again] = scheduler.lease_batch("w0", 1)
         assert again["unit"] == first["unit"]
         assert again["attempt"] == first["attempt"] == 1
         assert scheduler.counters["lease_reissues"] == 1
@@ -370,25 +385,25 @@ class TestLeaseReissue:
 
     def test_reissue_refreshes_the_lease_expiry(self, scheduler):
         scheduler.submit(make_spec())
-        lease = scheduler.lease("w0")
+        [lease] = scheduler.lease_batch("w0", 1)
         unit = lease["unit"]
         scheduler.test_clock.advance(45.0)  # 15 s left on a 60 s TTL
-        assert scheduler.lease("w0")["unit"] == unit
+        assert scheduler.lease_batch("w0", 1)[0]["unit"] == unit
         scheduler.test_clock.advance(45.0)  # past the original expiry
         row = scheduler.store.unit(unit["job_id"], unit["unit_id"])
         assert row["state"] == "leased" and row["worker"] == "w0"
 
     def test_other_workers_do_not_steal_a_live_lease(self, scheduler):
         scheduler.submit(make_spec())
-        mine = scheduler.lease("w0")
-        assert scheduler.lease("w1") is None
-        assert scheduler.lease("w0")["unit"] == mine["unit"]
+        [mine] = scheduler.lease_batch("w0", 1)
+        assert scheduler.lease_batch("w1", 1) == []
+        assert scheduler.lease_batch("w0", 1)[0]["unit"] == mine["unit"]
 
     def test_expired_lease_is_not_reissued(self, scheduler):
         scheduler.submit(make_spec())
-        first = scheduler.lease("w0")
+        [first] = scheduler.lease_batch("w0", 1)
         scheduler.test_clock.advance(61.0)
-        second = scheduler.lease("w0")
+        [second] = scheduler.lease_batch("w0", 1)
         assert second["unit"] == first["unit"]  # requeued, then re-leased
         assert second["attempt"] == 2
         assert scheduler.counters["lease_reissues"] == 0
@@ -398,11 +413,11 @@ class TestLeaseReissue:
         scheduler.submit(make_spec(
             config={**CONFIG_OPTIONS, "workloads": ["gcc", "gzip"]}
         ))
-        lease = scheduler.lease("w0")
+        [lease] = scheduler.lease_batch("w0", 1)
         unit = lease["unit"]
         result = execute_unit(lease["spec"], unit)
         scheduler.complete(unit["job_id"], unit["unit_id"], "w0", result)
-        follow_on = scheduler.lease("w0")
+        [follow_on] = scheduler.lease_batch("w0", 1)
         assert follow_on["unit"] != unit
         assert scheduler.counters["lease_reissues"] == 0
 
@@ -470,7 +485,7 @@ class TestDeadLetterQueue:
             config={**CONFIG_OPTIONS, "workloads": ["gcc", "gzip"]}
         ))["job_id"]
         for _ in range(2):  # exhaust the gcc unit's attempt budget
-            lease = scheduler.lease("w0")
+            [lease] = scheduler.lease_batch("w0", 1)
             scheduler.fail(job_id, lease["unit"]["unit_id"], "w0", "induced")
         scheduler.cancel(job_id)  # gzip still pending: genuinely cancelled
         with pytest.raises(ServiceError, match="cancelled"):
@@ -506,13 +521,13 @@ class TestRestartRecovery:
         )
         job_id = sched.submit(spec)["job_id"]
         # Drain one unit fully, then die holding a lease on a second.
-        lease = sched.lease("w0")
+        [lease] = sched.lease_batch("w0", 1)
         unit = lease["unit"]
         sched.complete(
             unit["job_id"], unit["unit_id"], "w0",
             execute_unit(lease["spec"], unit),
         )
-        assert sched.lease("w0") is not None  # in flight at the "crash"
+        assert sched.lease_batch("w0", 1)  # in flight at the "crash"
         store.close()
 
         store = ResultStore(db)
@@ -558,8 +573,7 @@ class TestMonotonicLeases:
     ):
         sched, mono, wall = self._scheduler(tmp_path, monkeypatch)
         sched.submit(make_spec())
-        lease = sched.lease("w0")
-        assert lease is not None
+        [lease] = sched.lease_batch("w0", 1)
         wall.advance(-86_400.0)  # the machine's date was a day ahead
         mono.advance(30.0)  # well inside the 60s ttl
         assert sched.requeue_expired() == 0
@@ -571,7 +585,7 @@ class TestMonotonicLeases:
     ):
         sched, mono, wall = self._scheduler(tmp_path, monkeypatch)
         sched.submit(make_spec())
-        assert sched.lease("w0") is not None
+        assert sched.lease_batch("w0", 1)
         wall.advance(86_400.0)  # NTP catches a slow clock up by a day
         mono.advance(30.0)
         assert sched.requeue_expired() == 0
@@ -581,11 +595,11 @@ class TestMonotonicLeases:
     ):
         sched, mono, wall = self._scheduler(tmp_path, monkeypatch)
         sched.submit(make_spec())
-        assert sched.lease("w0") is not None
+        assert sched.lease_batch("w0", 1)
         wall.advance(-86_400.0)  # irrelevant to expiry either way
         mono.advance(61.0)
         assert sched.requeue_expired() == 1  # genuinely stale: requeued
-        assert sched.lease("w1") is not None  # and re-offerable
+        assert sched.lease_batch("w1", 1)  # and re-offerable
 
     def test_display_timestamps_use_the_wall_clock(
         self, tmp_path, monkeypatch
@@ -618,8 +632,7 @@ class TestMonotonicLeases:
             store, str(tmp_path), lease_ttl=60.0, clock=first_boot
         )
         sched.submit(make_spec())
-        lease = sched.lease("w0")
-        assert lease is not None
+        assert len(sched.lease_batch("w0", 1)) == 1
         store.close()
 
         # New process, fresh monotonic epoch far below the persisted
@@ -633,5 +646,5 @@ class TestMonotonicLeases:
         assert sched.requeue_expired() == 0  # within the grace ttl
         second_boot.advance(61.0)
         assert sched.requeue_expired() == 1  # requeued, not immortal
-        assert sched.lease("w1") is not None
+        assert sched.lease_batch("w1", 1)
         store.close()

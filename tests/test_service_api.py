@@ -153,8 +153,8 @@ class TestEndToEnd:
             view = client.submit(submit_payload(
                 config={**CONFIG_OPTIONS, "workloads": ["gcc"]}
             ))
-            lease = client.lease("doomed")
-            assert lease is not None  # ... and then the worker dies.
+            # The doomed worker takes the one unit and then dies.
+            assert len(client.lease_batch("doomed", 1)) == 1
 
             healthy = RemoteWorker(
                 ServiceClient(service.address), "healthy",
@@ -209,7 +209,29 @@ class TestApiContract:
             view = client.submit(submit_payload())
             cancelled = client.cancel(view["job_id"])
             assert cancelled["state"] == "cancelled"
-            assert client.lease("w") is None
+            assert client.lease_batch("w", 1) == []
+
+    def test_lease_has_one_response_shape(self, tmp_path):
+        """A missing ``count`` leases one unit; an idle queue answers the
+        same shape with no leases; a count outside 1..64 is a 400."""
+        with running_service(tmp_path, workers=0) as (service, _):
+            client = ServiceClient(service.address)
+            client.submit(submit_payload(
+                config={**CONFIG_OPTIONS, "workloads": ["gcc"]}
+            ))
+            granted = client._request("POST", "/api/lease", {"worker": "w"})
+            assert granted["count"] == 1
+            assert granted["leases"][0]["unit"]["unit_id"] == "gcc:0of1"
+            idle = client._request("POST", "/api/lease", {"worker": "w2"})
+            assert idle == {"leases": [], "count": 0}
+            for count in (0, 65, "2"):
+                with pytest.raises(
+                    ServiceClientError, match="lease count"
+                ) as info:
+                    client._request(
+                        "POST", "/api/lease", {"worker": "w", "count": count}
+                    )
+                assert info.value.status == 400
 
     def test_job_listing_paginates(self, tmp_path):
         with running_service(tmp_path, workers=0) as (service, _):
@@ -225,7 +247,7 @@ class TestApiContract:
         with running_service(tmp_path, workers=0) as (service, _):
             client = ServiceClient(service.address)
             view = client.submit(submit_payload())
-            assert client.lease("w") is not None
+            assert client.lease_batch("w", 1)
             metrics = client.service_metrics()
             assert metrics["jobs"] == 1
             assert metrics["dead_letter"] == 0
@@ -242,7 +264,7 @@ class TestApiContract:
             ))
             job_id = view["job_id"]
             for _ in range(2):  # exhaust the unit's attempt budget
-                lease = client.lease("clumsy")
+                [lease] = client.lease_batch("clumsy", 1)
                 unit = lease["unit"]
                 client.fail(job_id, unit["unit_id"], "clumsy", "induced")
 

@@ -99,7 +99,7 @@ class TestBatchLease:
 
     def test_single_lease_is_not_counted_as_a_batch(self, scheduler):
         scheduler.submit(make_spec(shards=2))
-        assert scheduler.lease("w0") is not None
+        assert scheduler.lease_batch("w0", 1)
         assert scheduler.counters["batch_leases_granted"] == 0
 
     def test_lost_batch_response_is_reissued_not_recounted(self, scheduler):
@@ -177,7 +177,7 @@ class TestBatchLease:
 
 class TestChunkedComplete:
     def run_unit(self, scheduler):
-        lease = scheduler.lease("w0")
+        [lease] = scheduler.lease_batch("w0", 1)
         unit = lease["unit"]
         return unit, execute_unit(lease["spec"], unit)
 

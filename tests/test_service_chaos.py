@@ -242,7 +242,7 @@ class TestChaosEndToEnd:
             # The doomed worker leases a unit and is "killed": it never
             # heartbeats and never reports, so only the lease TTL can
             # recover its unit.
-            assert control.lease("doomed") is not None
+            assert control.lease_batch("doomed", 1)
 
             fleet = []
             threads = []

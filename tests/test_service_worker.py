@@ -117,8 +117,8 @@ class TestClientBreaker:
         assert client.breaker_trips() == 1
         assert client.counters["breaker_fast_failures"] >= 1
         # Other endpoints are unaffected: breakers are per-endpoint.
-        client.transport.script = [(200, b'{"unit": null}')]
-        assert client.lease("w") is None
+        client.transport.script = [(200, b'{"leases": [], "count": 0}')]
+        assert client.lease_batch("w", 1) == []
 
     def test_4xx_resets_the_breaker(self):
         client = make_client(
@@ -164,8 +164,9 @@ class FakeClient:
             raise action
         return action
 
-    def lease(self, worker):
-        return self.leases.pop(0) if self.leases else None
+    def lease_batch(self, worker, count):
+        granted, self.leases = self.leases[:count], self.leases[count:]
+        return granted
 
     def heartbeat(self, job_id, unit_id, worker):
         self.heartbeats += 1
@@ -310,22 +311,22 @@ class TestRemoteWorkerDelivery:
     ):
         client = FakeClient(leases=[fake_lease()])
         calls = {"n": 0}
-        real_lease = client.lease
+        real_lease = client.lease_batch
 
-        def flaky_lease(worker):
+        def flaky_lease(worker, count):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise ServiceClientError("unreachable", retryable=True)
-            return real_lease(worker)
+            return real_lease(worker, count)
 
-        client.lease = flaky_lease
+        client.lease_batch = flaky_lease
         worker = make_worker(client, tmp_path)
         assert worker.run() == 1
         assert calls["n"] >= 2
 
     def test_fatal_lease_error_raises(self, tmp_path, stub_execute):
         client = FakeClient()
-        client.lease = lambda worker: (_ for _ in ()).throw(
+        client.lease_batch = lambda worker, count: (_ for _ in ()).throw(
             ServiceClientError("bad auth", status=400)
         )
         worker = make_worker(client, tmp_path)
@@ -343,7 +344,7 @@ class TestRemoteWorkerDelivery:
         # The first worker exits while the service is down (simulate a
         # crash after spooling: stop() before the final flush succeeds).
         with pytest.warns(WorkerDeliveryWarning):
-            first._run_unit(fake_lease())
+            first._run_batch([fake_lease()])
         assert len(first.outbox.pending()) == 1
 
         up = FakeClient()
@@ -456,7 +457,7 @@ class TestLocalPoolBounces:
             pool._executor = ThreadPoolExecutor(max_workers=1)
             try:
                 with pytest.warns(WorkerDeliveryWarning, match="bounced"):
-                    await pool._run_unit("local-0", {
+                    await pool._run_batch("local-0", [{
                         "unit": fake_lease()["unit"],
                         "spec": {"level": "arch",
                                  "config": {"workloads": ["gcc"],
@@ -464,7 +465,7 @@ class TestLocalPoolBounces:
                                             "injection_points": 1,
                                             "seed": 7}},
                         "lease_ttl": 60.0,
-                    })
+                    }])
             finally:
                 pool._executor.shutdown(wait=False)
 
