@@ -15,7 +15,8 @@ two-level cache:
   numbers, displacements, and masks already bound (see
   :mod:`repro.isa.semantics`'s dispatch tables), so nothing is re-derived
   per execution. Closures are pure per-word functions and are shared
-  across the thousands of forked simulators a campaign creates.
+  across the thousands of forked simulators a campaign creates, and with
+  the lockstep scheduler's shadow views (:meth:`ArchSimulator.compiled`).
 
 Closures take ``(sim, pc)`` and return the next PC, so the run loop keeps
 the PC in a local and writes ``state.pc`` back only on exit; ``step()``
@@ -203,13 +204,23 @@ class ArchSimulator:
         """
         if pc & 3:
             raise AlignmentFault(pc, 4, pc=pc)
-        word = memory.read(pc, 4)
-        closure = self._closures.get(word)
-        if closure is None:
-            closure = self._compile(word)
-            self._closures[word] = closure
+        closure = self.compiled(memory.read(pc, 4))
         if memory.protection_at(pc) is PageProtection.READ_ONLY:
             self._predecoded[pc] = closure
+        return closure
+
+    def compiled(self, word: int) -> _Closure:
+        """The shared compiled closure for instruction ``word``.
+
+        A closure touches only ``regs``, ``memory.read``/``write``,
+        ``last_dest`` and ``last_memop`` of the object it is called with,
+        and returns the next PC or raises an :class:`IsaException` (HALT
+        raises a signal only this class catches). So it runs on any
+        object with those attributes, such as a lockstep shadow view.
+        """
+        closure = self._closures.get(word)
+        if closure is None:
+            closure = self._closures[word] = self._compile(word)
         return closure
 
     def run(self, max_instructions: int) -> StopReason:

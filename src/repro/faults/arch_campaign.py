@@ -54,7 +54,7 @@ from repro.faults.classify import (
     ArchTrialResult,
     classify_arch_trial,
 )
-from repro.faults.lockstep import run_lockstep_trials
+from repro.faults.lockstep import run_lockstep_trials, trial_failed
 from repro.faults.models import ArchResultBitFlip
 from repro.util.bitops import flip_bit
 from repro.util.rng import DeterministicRng
@@ -607,9 +607,7 @@ def _run_trial(
             memop_index += 1
         retired_index += 1
 
-    failing = _trial_failed(
-        faulty, trace, exception_latency, cfv_latency
-    )
+    failing = trial_failed(faulty, trace, exception_latency, cfv_latency)
     return ArchTrialResult(
         workload=workload,
         inject_step=point,
@@ -621,20 +619,3 @@ def _run_trial(
         failing=failing,
     )
 
-
-def _trial_failed(
-    faulty: ArchSimulator,
-    trace,
-    exception_latency: int | None,
-    cfv_latency: int | None,
-) -> bool:
-    if exception_latency is not None:
-        return True
-    if faulty.running or faulty.stop_reason is StopReason.LIMIT:
-        # Ran past the golden run without halting: runaway execution.
-        return True
-    if cfv_latency is not None:
-        return True
-    if tuple(faulty.state.regs) != trace.final_regs:
-        return True
-    return not faulty.state.memory.equals(trace.final_memory)

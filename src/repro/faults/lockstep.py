@@ -17,10 +17,13 @@ all *clean* (no dirty register, no dirty memory byte, instruction word
 itself unmodified) produces exactly golden's outputs. Such steps need no
 simulation at all — a write to a dirty register heals it, an identical
 store heals dirty bytes under it, and nothing else changes. Only
-*dirty-input* steps are executed, through a small patched interpreter
-that reads operands from ``overlay ∪ golden`` and mirrors the fast
-path's semantics (the same :mod:`repro.isa.semantics` handlers the
-compiled closures bind).
+*dirty-input* steps are executed, and by the simulator's own code:
+golden's compiled closure for the word
+(:meth:`~repro.arch.simulator.ArchSimulator.compiled`) runs on a shadow
+view whose registers are ``overlay ∪ golden`` and whose memory reads
+golden's image through the trial's dirty bytes. One copy of the ISA's
+semantics thus serves golden runs, serial trials and shadows alike; this
+module only keeps the overlay bookkeeping.
 
 Three things can end a trial's shadow (overlay) life:
 
@@ -62,23 +65,17 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from repro.arch.exceptions import IsaException
+from repro.arch.exceptions import AccessViolation, IsaException
 from repro.arch.memory import PAGE_SHIFT, PageProtection
 from repro.arch.simulator import ArchSimulator, StopReason
 from repro.faults.classify import ArchTrialResult
-from repro.isa import opcodes as op
-from repro.isa import semantics
 from repro.isa.encoding import decode_word
-from repro.util.bitops import MASK64, flip_bit
+from repro.isa.instructions import PredecodedInst
+from repro.util.bitops import flip_bit
 
 # A step index larger than any trace can reach (max_instructions is an
 # int well below this): "this trial never wakes again".
 _NEVER = 1 << 62
-
-# Instruction kinds for the patched interpreter.
-_NOP, _HALT, _OPERATE, _CMOV, _LDA, _LOAD, _STORE, _COND, _UNCOND, _JUMP = (
-    range(10)
-)
 
 
 @dataclass
@@ -90,122 +87,16 @@ class LockstepStats:
     halted_in_lockstep: int = 0  # reached golden's halt still shadowed
     finalized_asleep: int = 0  # dirty state never touched again
     materialized: int = 0  # diverged; private simulator built
-    dirty_steps: int = 0  # shadow steps needing the patched interpreter
+    excepted: int = 0  # a dirty step raised: terminal ISA exception
+    dirty_steps: int = 0  # shadow steps run through golden's closure
     clean_wakes: int = 0  # shadow steps resolved by heal bookkeeping
     solo_steps: int = 0  # per-step serial-equivalent continuation
     batched_steps: int = 0  # continuation steps run in batch mode
 
 
-class _Meta:
-    """Pre-extracted operands and handlers for one instruction word."""
-
-    __slots__ = (
-        "kind", "reads", "write", "is_mem", "a", "b", "c", "literal",
-        "handler", "trapping", "predicate", "disp", "size", "extend",
-        "mask", "delta",
-    )
-
-    def __init__(self) -> None:
-        self.kind = _NOP
-        self.reads: tuple[int, ...] = ()
-        self.write = -1
-        self.is_mem = False
-        self.literal: int | None = None
-
-
-def _decode_meta(word: int) -> _Meta:
-    inst = decode_word(word)
-    m = _Meta()
-    if inst.is_halt:
-        m.kind = _HALT
-        return m
-    if inst.format is op.Format.OPERATE:
-        ra, rb, rc = inst.ra, inst.rb, inst.rc
-        literal = inst.literal if inst.is_literal else None
-        if inst.is_cmov:
-            if rc == 31:  # result discarded; architecturally a no-op
-                return m
-            m.kind = _CMOV
-            m.a, m.b, m.c = ra, rb, rc
-            m.literal = literal
-            m.predicate = semantics.cmov_predicate(inst)
-            m.reads = (ra, rc) if literal is not None else (ra, rb, rc)
-            m.write = rc
-            return m
-        handler = semantics.value_handler(inst)
-        if handler is not None:
-            if rc == 31:
-                return m
-            m.kind = _OPERATE
-            m.handler = handler
-            m.trapping = None
-            m.a, m.b = ra, rb
-            m.literal = literal
-            m.reads = (ra,) if literal is not None else (ra, rb)
-            m.write = rc
-            return m
-        m.kind = _OPERATE
-        m.handler = None
-        m.trapping = semantics.trapping_handler(inst)
-        m.a, m.b = ra, rb
-        m.literal = literal
-        # A trapping op can raise even with a discarded result, so its
-        # inputs matter regardless of rc.
-        m.reads = (ra,) if literal is not None else (ra, rb)
-        m.write = rc if rc != 31 else -1
-        return m
-    if inst.is_lda:
-        if inst.ra == 31:
-            return m
-        m.kind = _LDA
-        m.b = inst.rb
-        m.disp = semantics.lda_displacement(inst)
-        m.reads = (inst.rb,)
-        m.write = inst.ra
-        return m
-    if inst.is_load:
-        m.kind = _LOAD
-        m.is_mem = True
-        m.b = inst.rb
-        m.size = inst.access_size
-        m.disp = semantics.signed_displacement(inst)
-        m.extend = semantics.load_extender(inst)
-        m.reads = (inst.rb,)
-        m.write = inst.ra if inst.ra != 31 else -1
-        return m
-    if inst.is_store:
-        m.kind = _STORE
-        m.is_mem = True
-        m.a, m.b = inst.ra, inst.rb
-        m.size = inst.access_size
-        m.disp = semantics.signed_displacement(inst)
-        m.mask = semantics.store_mask(inst)
-        m.reads = (inst.ra, inst.rb)
-        return m
-    if inst.is_cond_branch:
-        m.kind = _COND
-        m.a = inst.ra
-        m.predicate = semantics.branch_predicate(inst)
-        m.delta = 4 + 4 * semantics.signed_displacement(inst)
-        m.reads = (inst.ra,)
-        return m
-    if inst.is_uncond_branch:
-        if inst.ra == 31:
-            return m  # pure control; an aligned trial follows golden
-        m.kind = _UNCOND
-        m.write = inst.ra
-        return m
-    if inst.is_jump:
-        m.kind = _JUMP
-        m.b = inst.rb
-        m.reads = (inst.rb,)
-        m.write = inst.ra if inst.ra != 31 else -1
-        return m
-    raise AssertionError(f"unhandled instruction {inst.mnemonic}")
-
-
 class _MetaCache:
-    """PC-keyed metadata over the golden memory, text-page entries cached.
+    """PC-keyed decoded instructions over the golden memory, text-page
+    entries cached.
 
     Mirrors the simulator's pre-decode policy: only read-only pages are
     cached (ordinary stores cannot rewrite them), and the cache is
@@ -217,19 +108,19 @@ class _MetaCache:
     def __init__(self, memory):
         self._memory = memory
         self._version = memory.image_version
-        self._by_pc: dict[int, _Meta] = {}
+        self._by_pc: dict[int, PredecodedInst] = {}
 
-    def at(self, pc: int) -> _Meta:
+    def at(self, pc: int) -> PredecodedInst:
         memory = self._memory
         if self._version != memory.image_version:
             self._by_pc.clear()
             self._version = memory.image_version
-        meta = self._by_pc.get(pc)
-        if meta is None:
-            meta = _decode_meta(memory.read(pc, 4))
+        inst = self._by_pc.get(pc)
+        if inst is None:
+            inst = PredecodedInst(decode_word(memory.read(pc, 4)))
             if memory.protection_at(pc) is PageProtection.READ_ONLY:
-                self._by_pc[pc] = meta
-        return meta
+                self._by_pc[pc] = inst
+        return inst
 
 
 def golden_modifies_code(trace) -> bool:
@@ -267,37 +158,35 @@ def register_touch_steps(
     appears in both lists at the same step.
     """
     metas = _MetaCache(memory)
-    by_pc: dict[int, tuple[tuple[int, ...], int]] = {}
+    by_pc: dict[int, PredecodedInst] = {}
     reads: dict[int, list[int]] = {}
     writes: dict[int, list[int]] = {}
     for i, pc in enumerate(trace.pcs):
-        cached = by_pc.get(pc)
-        if cached is None:
-            meta = metas.at(pc)
-            cached = (meta.reads, meta.write)
-            by_pc[pc] = cached
-        read_regs, write_reg = cached
-        for r in read_regs:
+        inst = by_pc.get(pc)
+        if inst is None:
+            inst = by_pc[pc] = metas.at(pc)
+        for r in inst.source_regs:
             lst = reads.get(r)
             if lst is None:
                 lst = reads[r] = []
             lst.append(i)
-        if write_reg >= 0:
-            lst = writes.get(write_reg)
+        dest = inst.dest_reg
+        if dest is not None:
+            lst = writes.get(dest)
             if lst is None:
-                lst = writes[write_reg] = []
+                lst = writes[dest] = []
             lst.append(i)
     return reads, writes
 
 
-def written_register(trace, memory, step: int) -> int:
+def written_register(trace, memory, step: int) -> int | None:
     """The destination register of the instruction at trace ``step``.
 
-    Returns -1 for non-writing instructions (never the case for a step
+    Returns None for non-writing instructions (never the case for a step
     drawn from ``trace.writer_steps``). Same immutable-code caveat as
     :func:`register_touch_steps`.
     """
-    return _MetaCache(memory).at(trace.pcs[step]).write
+    return _MetaCache(memory).at(trace.pcs[step]).dest_reg
 
 
 class _Shadow:
@@ -316,8 +205,52 @@ class _Shadow:
         self.memdata: int | None = None
 
 
+class _ShadowView:
+    """What golden's compiled closure sees when it runs a dirty step:
+    golden's registers with the trial's overlay applied (``regs``), and
+    golden's memory image through the trial's dirty bytes (``memory``).
+    """
+
+    __slots__ = ("regs", "memory", "last_dest", "last_memop")
+
+    def __init__(self, golden_memory):
+        self.regs = [0] * 32
+        self.memory = _ShadowMemory(golden_memory)
+        self.last_dest = -1
+        self.last_memop: tuple[str, int, int] | None = None
+
+
+class _ShadowMemory:
+    """Golden's image as one trial sees it: a read patches in the trial's
+    dirty bytes (``mem``), and a write only checks the page, raising the
+    :class:`AccessViolation` a real store would. The closure reports the
+    store itself through ``last_memop``; golden's image is never written.
+    """
+
+    __slots__ = ("golden", "mem")
+
+    def __init__(self, golden):
+        self.golden = golden
+        self.mem: dict[int, int] = {}
+
+    def read(self, address: int, size: int) -> int:
+        raw = self.golden.read(address, size)
+        mem = self.mem
+        return _patch_int(raw, address, size, mem) if mem else raw
+
+    def write(self, address: int, size: int, value: int) -> None:
+        protection = self.golden.protection_at(address)
+        if protection is None:
+            raise AccessViolation(address, "write")
+        if protection is PageProtection.READ_ONLY:
+            raise AccessViolation(address, "write-protected")
+
+
 # Dispositions returned by round processing for one shadow trial.
 _KEEP, _DONE = 0, 1
+
+# The staged action of a step that reads no dirty state.
+_CLEAN: tuple = ()
 
 
 def run_lockstep_trials(
@@ -356,6 +289,7 @@ class _Engine:
         self.golden = golden
         self.stats = stats
         self.metas = _MetaCache(golden.state.memory)
+        self.view = _ShadowView(golden.state.memory)
         self.results: dict[tuple[int, int], ArchTrialResult] = {}
         # Look-ahead (sleep) structures; None until built, disabled when
         # golden stores into executed pages (the traced words could change
@@ -383,10 +317,10 @@ class _Engine:
         for i, pc in enumerate(self.pcs):
             cached = touched_by_pc.get(pc)
             if cached is None:
-                meta = metas.at(pc)
-                regs = set(meta.reads)
-                if meta.write >= 0:
-                    regs.add(meta.write)
+                inst = metas.at(pc)
+                regs = set(inst.source_regs)
+                if inst.dest_reg is not None:
+                    regs.add(inst.dest_reg)
                 writable = (
                     memory.protection_at(pc) is not PageProtection.READ_ONLY
                 )
@@ -565,12 +499,12 @@ class _Engine:
         if not shadows:
             golden.step()
             return None
-        meta = self.metas.at(self.pcs[i])
-        stats = self.stats
+        inst = self.metas.at(self.pcs[i])
+        closure = golden.compiled(inst.word)
         # Pre-phase: everything that needs golden's pre-step state.
         staged: list[tuple[_Shadow, tuple]] = []
         for shadow in shadows:
-            action = self._pre_step(shadow, meta, i)
+            action = self._pre_step(shadow, inst, closure, i)
             if action is not None:
                 staged.append((shadow, action))
         golden.step()
@@ -578,21 +512,26 @@ class _Engine:
         # golden's post-step state.
         survivors: list[_Shadow] = []
         for shadow, action in staged:
-            if self._post_step(shadow, action, meta, i) is _KEEP:
+            if self._post_step(shadow, action, inst, i) is _KEEP:
                 survivors.append(shadow)
         return survivors
 
-    def _pre_step(self, shadow: _Shadow, meta: _Meta, i: int):
+    def _pre_step(self, shadow: _Shadow, inst: PredecodedInst, closure,
+                  i: int):
         """Stage trace step ``i`` for one trial (golden not yet stepped).
 
+        ``closure`` is golden's compiled closure for ``inst``.
+
         Returns ``None`` when the trial completed here (terminal
-        exception, or materialized over a modified instruction word);
-        otherwise an action tuple for :meth:`_post_step`.
+        exception, or materialized over a modified instruction word),
+        ``_CLEAN`` when no input is dirty, and otherwise the dirty step's
+        outputs ``(dest, value, memop, next_pc, gpre)`` for
+        :meth:`_post_step`.
         """
         overlay = shadow.regs
         mem = shadow.mem
+        pc = self.pcs[i]
         if mem:
-            pc = self.pcs[i]
             if (pc in mem or pc + 1 in mem or pc + 2 in mem
                     or pc + 3 in mem):
                 # The word this trial is about to execute differs from
@@ -604,176 +543,83 @@ class _Engine:
                     (self.length - i) + self.config.post_injection_slack + 1,
                 )
                 return None
-        kind = meta.kind
-        reads = meta.reads
         dirty = False
-        for r in reads:
+        for r in inst.source_regs:
             if r in overlay:
                 dirty = True
                 break
-        if not dirty and mem and kind == _LOAD:
+        if not dirty and mem and inst.is_load:
             gaddr = self.memops[self.memop_counts[i] - 1][1]
-            for k in range(meta.size):
+            for k in range(inst.access_size):
                 if gaddr + k in mem:
                     dirty = True
                     break
         if not dirty:
             self.stats.clean_wakes += 1
-            return (_A_CLEAN,)
+            return _CLEAN
         self.stats.dirty_steps += 1
         golden = self.golden
-        gregs = golden.regs
+        view = self.view
+        regs = view.regs
+        regs[:] = golden.regs
+        for r, value in overlay.items():
+            regs[r] = value
+        view.memory.mem = mem
+        view.last_dest = -1
+        view.last_memop = None
         try:
-            if kind == _OPERATE:
-                a = overlay.get(meta.a, gregs[meta.a])
-                b = (meta.literal if meta.literal is not None
-                     else overlay.get(meta.b, gregs[meta.b]))
-                if meta.trapping is not None:
-                    value, overflow = meta.trapping(a, b)
-                    if overflow:
-                        raise _ShadowFault
-                else:
-                    value = meta.handler(a, b)
-                return (_A_WRITE, value)
-            if kind == _CMOV:
-                if meta.predicate(overlay.get(meta.a, gregs[meta.a])):
-                    value = (meta.literal if meta.literal is not None
-                             else overlay.get(meta.b, gregs[meta.b]))
-                else:
-                    value = overlay.get(meta.c, gregs[meta.c])
-                return (_A_WRITE, value)
-            if kind == _LDA:
-                base = overlay.get(meta.b, gregs[meta.b])
-                return (_A_WRITE, (base + meta.disp) & MASK64)
-            if kind == _LOAD:
-                base = overlay.get(meta.b, gregs[meta.b])
-                address = (base + meta.disp) & MASK64
-                size = meta.size
-                if address & (size - 1):
-                    raise _ShadowFault
-                raw = golden.memory.read(address, size)  # may raise
-                if mem:
-                    raw = _patch_int(raw, address, size, mem)
-                return (_A_LOAD, address, meta.extend(raw))
-            if kind == _STORE:
-                base = overlay.get(meta.b, gregs[meta.b])
-                address = (base + meta.disp) & MASK64
-                size = meta.size
-                if address & (size - 1):
-                    raise _ShadowFault
-                memory = golden.memory
-                if not memory.is_mapped(address):
-                    raise _ShadowFault
-                if memory.protection_at(address) is PageProtection.READ_ONLY:
-                    raise _ShadowFault
-                value = overlay.get(meta.a, gregs[meta.a]) & meta.mask
-                gaddr = self.memops[self.memop_counts[i] - 1][1]
-                gpre = None
-                if gaddr != address:
-                    gpre = memory.read(gaddr, size).to_bytes(size, "little")
-                return (_A_STORE, address, value, gaddr, gpre)
-            if kind == _COND:
-                pc = self.pcs[i]
-                if meta.predicate(overlay.get(meta.a, gregs[meta.a])):
-                    return (_A_CONTROL, (pc + meta.delta) & MASK64)
-                return (_A_CONTROL, (pc + 4) & MASK64)
-            if kind == _JUMP:
-                target = overlay.get(meta.b, gregs[meta.b]) & ~0x3 & MASK64
-                return (_A_JUMP, target)
-        except _ShadowFault:
-            pass
+            next_pc = closure(view, pc)
         except IsaException:
-            pass
-        # The dirty step raised where the serial fork's step() would have:
-        # terminal exception at this retired index.
-        self._result(shadow, i - shadow.point, None, True)
-        return None
+            # The dirty step raised where the serial fork's step() would
+            # have: terminal exception at this retired index.
+            self.stats.excepted += 1
+            self._result(shadow, i - shadow.point, None, True)
+            return None
+        dest = view.last_dest
+        memop = view.last_memop
+        gpre = None
+        if memop is not None and memop[0] == "S":
+            gaddr = self.memops[self.memop_counts[i] - 1][1]
+            if gaddr != memop[1]:
+                # Golden's bytes under its own store, before it lands.
+                gpre = golden.memory.read(gaddr, inst.access_size)
+        value = regs[dest] if dest >= 0 else None
+        return (dest, value, memop, next_pc, gpre)
 
-    def _post_step(self, shadow: _Shadow, action: tuple, meta: _Meta,
-                   i: int) -> int:
+    def _post_step(self, shadow: _Shadow, action: tuple,
+                   inst: PredecodedInst, i: int) -> int:
         """Settle one staged step against golden's post-step state."""
         golden = self.golden
         overlay = shadow.regs
         mem = shadow.mem
-        code = action[0]
-        if code == _A_CLEAN:
+        if action is _CLEAN:
             # All inputs matched golden, so all outputs do too: a written
             # register heals, an identical store heals the bytes under it.
-            write = meta.write
-            if write >= 0 and overlay:
-                overlay.pop(write, None)
-            if meta.kind == _STORE and mem:
-                gaddr = self.memops[self.memop_counts[i] - 1][1]
-                for k in range(meta.size):
+            if overlay:
+                overlay.pop(golden.last_dest, None)  # -1 is never a key
+            if mem and inst.is_store:
+                gaddr = golden.last_memop[1]
+                for k in range(inst.access_size):
                     mem.pop(gaddr + k, None)
-            if meta.kind == _HALT:
+            if inst.is_halt:
                 # The trial halted exactly as golden did (clean control
                 # flow throughout); it fails iff any state still differs.
                 self.stats.halted_in_lockstep += 1
                 self._result(shadow, None, None, bool(overlay or mem))
                 return _DONE
-        elif code == _A_WRITE:
-            value = action[1]
-            write = meta.write
-            if write >= 0:
-                if value != golden.regs[write]:
-                    overlay[write] = value
+        else:
+            dest, value, memop, next_pc, gpre = action
+            if dest >= 0:
+                if value != golden.regs[dest]:
+                    overlay[dest] = value
                 else:
-                    overlay.pop(write, None)
-        elif code == _A_LOAD:
-            _code, address, value = action
-            gop = self.memops[self.memop_counts[i] - 1]
-            self._compare_memop(shadow, "L", address, value, gop, i)
-            write = meta.write
-            if write >= 0:
-                if value != golden.regs[write]:
-                    overlay[write] = value
-                else:
-                    overlay.pop(write, None)
-        elif code == _A_STORE:
-            _code, address, value, gaddr, gpre = action
-            size = meta.size
-            gop = self.memops[self.memop_counts[i] - 1]
-            self._compare_memop(shadow, "S", address, value, gop, i)
-            fork_bytes = value.to_bytes(size, "little")
-            gbytes = gop[2].to_bytes(size, "little")
-            if address == gaddr:
-                for k in range(size):
-                    if fork_bytes[k] != gbytes[k]:
-                        mem[address + k] = fork_bytes[k]
-                    else:
-                        mem.pop(address + k, None)
-            else:
-                # Golden's store range: the trial did not write here, so
-                # its byte is the overlay value or golden's *old* byte.
-                for k in range(size):
-                    b = gaddr + k
-                    if address <= b < address + size:
-                        fork_byte = fork_bytes[b - address]
-                    else:
-                        fork_byte = mem.get(b, gpre[k])
-                    if fork_byte != gbytes[k]:
-                        mem[b] = fork_byte
-                    else:
-                        mem.pop(b, None)
-                # The trial's own range outside golden's: golden's bytes
-                # there are unchanged by this step.
-                memory = golden.memory
-                for k in range(size):
-                    b = address + k
-                    if gaddr <= b < gaddr + size:
-                        continue
-                    if fork_bytes[k] != memory.read(b, 1):
-                        mem[b] = fork_bytes[k]
-                    else:
-                        mem.pop(b, None)
-        else:  # _A_CONTROL or _A_JUMP
-            if code == _A_JUMP:
-                write = meta.write
-                if write >= 0:
-                    # The link value is pc+4 — identical to golden's.
-                    overlay.pop(write, None)
-            next_pc = action[1]
+                    overlay.pop(dest, None)
+            if memop is not None:
+                gop = golden.last_memop
+                self._compare_memop(shadow, memop, gop, i)
+                if memop[0] == "S":
+                    _merge_store(mem, inst.access_size, memop, gop, gpre,
+                                 golden.memory)
             if next_pc != golden.state.pc:
                 # Control-flow divergence: materialize and run the serial
                 # continuation (the cfv check fires on its first round).
@@ -795,8 +641,8 @@ class _Engine:
             return _DONE
         return _KEEP
 
-    def _compare_memop(self, shadow: _Shadow, kind: str, address: int,
-                       value: int, gop, i: int) -> None:
+    def _compare_memop(self, shadow: _Shadow, memop, gop, i: int) -> None:
+        kind, address, value = memop
         if shadow.memaddr is None and (kind != gop[0] or address != gop[1]):
             shadow.memaddr = i - shadow.point
         elif (shadow.memdata is None and kind == "S" and address == gop[1]
@@ -896,30 +742,33 @@ class _Engine:
         stats.solo_steps += (sim.retired - solo_start) - (
             stats.batched_steps - batched_before
         )
-        if exception_latency is not None:
-            failing = True
-        elif sim.running or sim.stop_reason is StopReason.LIMIT:
-            failing = True  # ran past golden without halting: runaway
-        elif cfv_latency is not None:
-            failing = True
-        elif tuple(sim.state.regs) != trace.final_regs:
-            failing = True
-        else:
-            failing = not sim.state.memory.equals(trace.final_memory)
+        failing = trial_failed(sim, trace, exception_latency, cfv_latency)
         shadow.memaddr = memaddr_latency
         shadow.memdata = memdata_latency
         self._result(shadow, exception_latency, cfv_latency, failing)
 
 
-class _ShadowFault(Exception):
-    """The patched interpreter hit a condition the real fork's ``step()``
-    would have raised as an :class:`IsaException` (alignment, access
-    violation, arithmetic trap). Which exception it was does not matter:
-    the trial record only keeps the latency."""
+def trial_failed(
+    sim: ArchSimulator,
+    trace,
+    exception_latency: int | None,
+    cfv_latency: int | None,
+) -> bool:
+    """The failing verdict for a trial whose window ended on ``sim``.
 
-
-# Action codes for the pre/post split of one shadow step.
-_A_CLEAN, _A_WRITE, _A_LOAD, _A_STORE, _A_CONTROL, _A_JUMP = range(6)
+    Shared by the serial window loop (``arch_campaign._run_trial``) and
+    the scheduler's solo continuation.
+    """
+    if exception_latency is not None:
+        return True
+    if sim.running or sim.stop_reason is StopReason.LIMIT:
+        # Ran past the golden run without halting: runaway execution.
+        return True
+    if cfv_latency is not None:
+        return True
+    if tuple(sim.state.regs) != trace.final_regs:
+        return True
+    return not sim.state.memory.equals(trace.final_memory)
 
 
 def _patch_int(raw: int, address: int, size: int, overlay: dict[int, int]) -> int:
@@ -932,3 +781,48 @@ def _patch_int(raw: int, address: int, size: int, overlay: dict[int, int]) -> in
             data[k] = byte
             hit = True
     return int.from_bytes(data, "little") if hit else raw
+
+
+def _merge_store(mem: dict[int, int], size: int, memop, gop,
+                 gpre: int | None, memory) -> None:
+    """Fold a dirty step's store into the trial's byte overlay.
+
+    ``memop`` is the trial's store and ``gop`` golden's at the same step;
+    ``gpre`` holds golden's bytes under ``gop`` before the step (needed
+    only when the two addresses differ) and ``memory`` is golden's image
+    after it.
+    """
+    _kind, address, value = memop
+    gaddr = gop[1]
+    fork_bytes = value.to_bytes(size, "little")
+    gbytes = gop[2].to_bytes(size, "little")
+    if address == gaddr:
+        for k in range(size):
+            if fork_bytes[k] != gbytes[k]:
+                mem[address + k] = fork_bytes[k]
+            else:
+                mem.pop(address + k, None)
+        return
+    # Golden's store range: the trial did not write here, so its byte is
+    # the overlay value or golden's *old* byte.
+    gold_before = gpre.to_bytes(size, "little")
+    for k in range(size):
+        b = gaddr + k
+        if address <= b < address + size:
+            fork_byte = fork_bytes[b - address]
+        else:
+            fork_byte = mem.get(b, gold_before[k])
+        if fork_byte != gbytes[k]:
+            mem[b] = fork_byte
+        else:
+            mem.pop(b, None)
+    # The trial's own range outside golden's: golden's bytes there are
+    # unchanged by this step.
+    for k in range(size):
+        b = address + k
+        if gaddr <= b < gaddr + size:
+            continue
+        if fork_bytes[k] != memory.read(b, 1):
+            mem[b] = fork_bytes[k]
+        else:
+            mem.pop(b, None)

@@ -22,6 +22,14 @@ Two guards keep the proof honest:
   per-PC metadata): otherwise the traced words could differ from the
   ones ``trace.final_memory`` holds.
 
+Read and write sets are the decoder's ``source_regs`` and ``dest_reg``
+(:class:`~repro.isa.instructions.PredecodedInst`, as in the lockstep
+look-ahead). A discarded-result instruction (non-trapping, destination
+R31) thus counts as reading its sources although it changes nothing.
+That is sound: such a read keeps the point live, so it is simulated
+instead of proved dead. None of the seven kernels' 300 static
+instructions is of this kind, at scale 1 or 4.
+
 The memory-byte analogue (store overwritten before the next load) is
 deliberately out of scope: the arch fault model only flips registers,
 and a store of a corrupt register already trips the store-data
@@ -70,7 +78,7 @@ def prescreen_dead_points(trace, points: Iterable[int]) -> set[int]:
     dead: set[int] = set()
     for point in candidates:
         dest = written_register(trace, memory, point)
-        if dest < 0:  # pragma: no cover - writer_steps guarantees a dest
+        if dest is None:  # pragma: no cover - writer_steps guarantees one
             continue
         next_write = _first_after(writes.get(dest), point)
         if next_write is None:

@@ -285,7 +285,11 @@ class TestSnapshotBoundaryFork:
 
 
 class TestLockstepStats:
-    def test_counters_account_for_every_trial(self):
+    @pytest.mark.parametrize("first_bit", [7, 40])
+    def test_counters_account_for_every_trial(self, first_bit):
+        """Each fork lands in exactly one ending bucket. Flipping bits
+        40-43 of gzip's results sends pointers wild, so some dirty steps
+        raise: those trials land in ``excepted``."""
         config = ArchCampaignConfig(
             trials_per_workload=20, injection_points=5, workloads=("gzip",)
         )
@@ -294,7 +298,7 @@ class TestLockstepStats:
             config.max_instructions
         )
         points = arch_campaign.sample_points(config, "gzip", trace)
-        plan = [(point, [(index, 7 + index) for index in range(4)])
+        plan = [(point, [(index, first_bit + index) for index in range(4)])
                 for point in points]
         stats = LockstepStats()
         results = run_lockstep_trials(
@@ -307,11 +311,122 @@ class TestLockstepStats:
         # Every fork ends in exactly one of the terminal buckets.
         assert (
             stats.early_retired + stats.halted_in_lockstep
-            + stats.finalized_asleep + stats.materialized
+            + stats.finalized_asleep + stats.materialized + stats.excepted
         ) == total
         # Result-bit flips on a real kernel reconverge often enough that
         # the early-retire fast path must actually fire.
         assert stats.early_retired > 0
+        if first_bit >= 32:
+            assert stats.excepted > 0
+
+
+# ------------------------------------------- every mnemonic, dirty steps
+
+
+def mnemonic_forms(spec):
+    """Forms of ``spec`` that read a freshly written register in every
+    operand position the instruction has (see :func:`mnemonic_program`
+    for what each register holds)."""
+    name = spec.mnemonic
+    if spec.format is op.Format.OPERATE:
+        # ra + rb (and a CMOV's old rc), the literal form, a dead result.
+        return [f"{name} r2, r3, r4", f"{name} r2, 7, r4",
+                f"{name} r2, r3, r31"]
+    if spec.format is op.Format.MEMORY:
+        if spec.opcode in op.STORE_OPCODES:
+            return [f"{name} r4, 0(r6)"]  # store data and base
+        return [f"{name} r4, 0(r6)", f"{name} r31, 0(r6)"]
+    if spec.format is op.Format.JUMP:
+        return [f"{name} (r8)", f"{name} r4, (r8)"]
+    if spec.format is op.Format.BRANCH:
+        if spec.opcode in (op.OP_BR, op.OP_BSR):
+            return [f"{name} after", f"{name} r4, after"]
+        return [f"{name} r2, after"]
+    if spec.format is op.Format.PAL:
+        return [name]
+    raise AssertionError(f"no test form for {name}")
+
+
+def mnemonic_program(spec, form):
+    """``form`` after fresh writes of every register it can read.
+
+    r2/r3/r4 are loaded operands (a CMOV's old rc and store data are r4),
+    r6 points at a data slot 64 KiB into .data, so flipping its bit 21
+    lands in the read-only text page, and r8 is the jump target. The tail
+    stores r4 and loads it back into an address, so a load that misses
+    the trial's stored bytes moves a later access; it also loads the slot
+    back and overwrites r4's copy with a clean store.
+    """
+    a, b, c = 0x4000_0000_1234_5678, 0x3000_0000_0000_0042, 0x0123_4567_89AB_CDEF
+    if spec.format is op.Format.BRANCH or spec.mnemonic.startswith("cmov"):
+        a = 0  # every flip of the condition changes some predicate
+    if spec.mnemonic == "mulqv":
+        a, b = 0x1234_5678, 0x42  # golden itself must not overflow
+    source = "\n".join([
+        ".text",
+        "start: la r1, data",
+        " ldq r2, 0(r1)",
+        " ldq r3, 8(r1)",
+        " ldq r4, 16(r1)",
+        " la r6, slot",
+        " la r8, after",
+        f" {form}",
+        " addq r4, 1, r4",
+        "after: stq r4, 24(r1)",
+        " ldq r5, 24(r1)",
+        " xor r5, r4, r5",  # zero iff the load saw the stored bytes
+        " addq r1, r5, r5",
+        " ldq r5, 0(r5)",
+        " ldq r7, 0(r6)",
+        " stq r3, 24(r1)",
+        " halt",
+        ".data",
+        f"data: .quad {a}, {b}, {c}, 0",
+        " .space 65536",
+        "slot: .quad 0x80000000F0E1D2C3",
+    ])
+    return assemble(source, spec.mnemonic)
+
+
+class TestEveryMnemonic:
+    @pytest.mark.parametrize("spec", op.ALL_SPECS, ids=lambda s: s.mnemonic)
+    def test_dirty_steps_match_serial(self, spec):
+        """Every writer step of a program around ``spec``, all 64 bits:
+        the scheduler runs the dirty steps through golden's closures on a
+        shadow view, and its records must equal the serial twin's. The
+        parameters are ``op.ALL_SPECS`` itself, so a new opcode gets a
+        case, and each case checks that its mnemonic really executed."""
+        config = ArchCampaignConfig(trials_per_workload=1, injection_points=1)
+        for form in mnemonic_forms(spec):
+            program = mnemonic_program(spec, form)
+            trace = load_program(program).run_with_trace(
+                config.max_instructions
+            )
+            assert trace.halted, form
+            executed = {
+                try_decode_word(trace.final_memory.read(pc, 4)).mnemonic
+                for pc in trace.pcs
+            }
+            assert spec.mnemonic in executed, form
+            plan = [(point, [(bit, bit) for bit in range(64)])
+                    for point in trace.writer_steps]
+            stats = LockstepStats()
+            lock = run_lockstep_trials(
+                config, spec.mnemonic, trace, trace.memop_counts,
+                load_program(program), plan, stats=stats,
+            )
+            assert stats.dirty_steps > 0
+            prefix = load_program(program)
+            for point, pending in plan:
+                if prefix.retired < point:
+                    prefix.run(point - prefix.retired)
+                    prefix.resume()
+                for index, bit in pending:
+                    serial = arch_campaign._run_trial(
+                        spec.mnemonic, prefix, trace, trace.memop_counts,
+                        point, bit, config,
+                    )
+                    assert lock[(point, index)] == serial, (form, point, bit)
 
 
 # ----------------------------------------------- satellite regressions

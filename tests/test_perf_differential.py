@@ -224,3 +224,46 @@ class TestPerfGate:
         )
         assert result.returncode == 2
         assert "below required floor" in result.stderr
+
+
+class TestDesignPerfTable:
+    """DESIGN.md's before/after table quotes the committed perf reports;
+    re-recording a report without the table fails here."""
+
+    # Table row -> (metric, decimals the table prints).
+    ROWS = {
+        "arch steps/sec": ("arch_steps_per_sec", 0),
+        "uarch cycles/sec": ("uarch_cycles_per_sec", 0),
+        "campaign trials/sec": ("campaign_trials_per_sec", 1),
+    }
+
+    @staticmethod
+    def _metrics(name):
+        path = REPO_ROOT / "benchmarks" / "out" / name
+        return json.loads(path.read_text())["metrics"]
+
+    def _table_rows(self):
+        lines = (REPO_ROOT / "DESIGN.md").read_text().splitlines()
+        start = lines.index("## Hot-path optimisation (before/after)") + 1
+        rows = {}
+        for line in lines[start:]:
+            if line.startswith("## "):
+                break
+            cells = [cell.strip() for cell in line.strip("| ").split("|")]
+            if cells[0] in self.ROWS:
+                rows[cells[0]] = cells[1:4]
+        return rows
+
+    def test_table_quotes_committed_reports(self):
+        before = self._metrics("perf_preopt.json")
+        after = self._metrics("perf_baseline.json")
+        rows = self._table_rows()
+        assert rows.keys() == self.ROWS.keys()
+        for label, (metric, decimals) in self.ROWS.items():
+            old = before[metric]["value"]
+            new = after[metric]["value"]
+            assert rows[label] == [
+                f"{old:,.{decimals}f}",
+                f"{new:,.{decimals}f}",
+                f"{new / old:.2f}×",
+            ], label
