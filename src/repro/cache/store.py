@@ -2,11 +2,14 @@
 
 Every campaign shard, service worker, and resumed run needs the same
 expensive preamble before it can inject a single fault: run the workload
-fault-free (the *golden* run), derive the comparator indices, and walk a
-prefix simulator to the first injection point. None of that work depends
-on which process performs it — it is a pure function of the program
-bytes and the scientific configuration — so this module memoizes it on
-disk, once per ``(program, config)`` across an entire worker fleet.
+fault-free (the *golden* run), derive the comparator indices, and bring a
+prefix simulator to each injection point. None of that work depends on
+which process performs it — it is a pure function of the program bytes
+and the scientific configuration — so this module memoizes it on disk,
+once per ``(program, config)`` across an entire worker fleet. Arch
+entries carry periodic architectural snapshots to fast-forward from;
+uarch entries carry a full machine checkpoint at every injection point,
+which the prefix pipeline restores instead of re-simulating.
 
 Keying
 ------
@@ -58,11 +61,12 @@ if TYPE_CHECKING:
     from repro.arch.memory import SparseMemory
     from repro.arch.tracing import ExecutionTrace
     from repro.isa.program import Program
+    from repro.uarch.pipeline import PipelineCheckpoint
 
 #: Bumped whenever the pickled artifact layout changes; part of the key,
 #: so old entries become unreachable (and reclaimable via ``cache clear``)
 #: rather than misread.
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 class CacheCorruptionWarning(UserWarning):
@@ -97,9 +101,15 @@ class ArchGoldenArtifact:
 class UarchGoldenArtifact:
     """The cacheable outputs of both uarch golden pipeline runs.
 
-    ``hc_mispredicts`` holds the ``(cycle, retired)`` of every
-    ``hc_mispredict`` symptom golden fired (schema v3): a lockstep shadow
-    that heals fires golden's symptoms for the rest of its window."""
+    ``snapshots`` and ``retired_at`` hold golden's injectable state and
+    retired count at each trial-end cycle (``point + window``), for the
+    latent-state check. ``hc_mispredicts`` holds the ``(cycle, retired)``
+    of every ``hc_mispredict`` symptom golden fired (schema v3): a lockstep
+    shadow that heals fires golden's symptoms for the rest of its window.
+    ``checkpoints`` maps each injection point to golden's full machine
+    state there (schema v4): while no shadow is live, the campaign's
+    prefix pipeline restores the next point's checkpoint instead of
+    stepping to it."""
 
     end_cycle: int
     retired: list
@@ -108,6 +118,7 @@ class UarchGoldenArtifact:
     final_arch_regs: list[int]
     final_memory: "SparseMemory"
     hc_mispredicts: tuple[tuple[int, int], ...]
+    checkpoints: dict[int, "PipelineCheckpoint"]
 
 
 @dataclass

@@ -3,11 +3,14 @@
 Methodology, following Section 4:
 
 1. Run each workload's pipeline once fault-free, collecting the golden
-   retired stream, full-state snapshots at the pre-selected trial-end
-   cycles, and the final architectural state.
+   retired stream, injectable-state snapshots at the pre-selected
+   trial-end cycles, a full machine checkpoint at every injection point,
+   and the final architectural state.
 2. Pre-select injection cycles ("the fault injections were performed on a
-   set of about 250-300 points for each experiment"), walking one prefix
-   pipeline forward and forking it at each point.
+   set of about 250-300 points for each experiment") and bring one prefix
+   pipeline to each point, forking it there. The prefix restores golden's
+   checkpoint at the point; it steps only while some trial's fork is
+   still pacing against it (step 3).
 3. Each trial flips one uniformly-chosen state bit in the fork (caches and
    predictor tables excluded, as in the paper) and monitors the machine for
    a window of cycles (the paper used 10,000; default scaled down), with
@@ -61,7 +64,7 @@ from repro.faults.models import StateBitFlip
 from repro.restore.hardened import ProtectionMap
 from repro.restore.symptoms import MEMHIER_DETECTOR_NAMES, build_memhier_detectors
 from repro.uarch.latches import LATCH_CLASSES
-from repro.uarch.pipeline import Pipeline, load_pipeline
+from repro.uarch.pipeline import Pipeline, PipelineCheckpoint, load_pipeline
 from repro.util.rng import DeterministicRng
 from repro.util.stats import BinomialEstimate, CategoryCounter
 from repro.util.tables import format_table
@@ -328,10 +331,10 @@ def run_workload_trials(
     stride slice ``index % shard_count == shard_index`` of the per-point
     trial index space (the union of all shards is exactly the serial
     campaign). With a :class:`~repro.cache.GoldenArtifactCache`, both
-    golden pipeline runs (length probe + snapshot capture) are replaced
-    by one cache load; injection cycles are recomputed deterministically
-    from the cached end cycle, so cached and uncached runs are
-    bit-identical.
+    golden pipeline runs (length probe + capture of snapshots and
+    checkpoints) are replaced by one cache load; injection cycles are
+    recomputed deterministically from the cached end cycle, so cached and
+    uncached runs are bit-identical.
 
     Every trial runs through one scheduler (:class:`_Scheduler`). With
     ``lockstep=True`` (the default) and no ``detectors``, its shadows
@@ -352,26 +355,26 @@ def run_workload_trials(
         )
         if artifact is not None:
             golden = artifact
-            end_cycle = golden.end_cycle
             golden_cache = "hit"
         else:
             # Choose injection cycles before running golden: spread
             # uniformly over the run. We need golden's length first, so
             # run it now.
             golden = _run_golden(bundle, config, inject_cycles=None)
-            end_cycle = golden.end_cycle
-        first = min(config.warmup_cycles, max(1, end_cycle // 10))
-        last = max(first + 1, end_cycle - 100)
-        point_count = min(config.injection_points, last - first)
-        points = sorted(wrng.child("points").sample(range(first, last), point_count))
+        end_cycle = golden.end_cycle
+        points = _injection_points(wrng, config, end_cycle)
         if artifact is None:
-            # Re-run golden to capture snapshots at each trial-end cycle.
+            # Re-run golden to capture snapshots at each trial-end cycle
+            # and a checkpoint at each injection point.
             snapshot_cycles = [
                 point + config.window_cycles
                 for point in points
                 if point + config.window_cycles < end_cycle
             ]
-            golden = _run_golden(bundle, config, inject_cycles=snapshot_cycles)
+            golden = _run_golden(
+                bundle, config, inject_cycles=snapshot_cycles,
+                checkpoint_cycles=points,
+            )
             if cache is not None:
                 cache.store("uarch", bundle.program, config, golden)
                 golden_cache = "miss"
@@ -406,9 +409,24 @@ def run_workload_trials(
     )
 
 
+def _injection_points(
+    wrng: DeterministicRng, config: UarchCampaignConfig, end_cycle: int
+) -> list[int]:
+    """A workload's pre-selected injection cycles, sorted: a uniform
+    sample of golden's run past the warm-up, clear of its last cycles."""
+    first = min(config.warmup_cycles, max(1, end_cycle // 10))
+    last = max(first + 1, end_cycle - 100)
+    point_count = min(config.injection_points, last - first)
+    return sorted(wrng.child("points").sample(range(first, last), point_count))
+
+
 def _run_golden(
-    bundle, config: UarchCampaignConfig, inject_cycles
+    bundle, config: UarchCampaignConfig, inject_cycles, checkpoint_cycles=()
 ) -> UarchGoldenArtifact:
+    """Run golden fault-free to its halt. On the way it stops at each
+    trial-end cycle in ``inject_cycles`` to snapshot the injectable state,
+    and at each injection point in ``checkpoint_cycles`` to take a full
+    machine checkpoint; the length probe asks for neither."""
     pipeline = load_pipeline(
         bundle.program,
         collect_retired=True,
@@ -416,13 +434,18 @@ def _run_golden(
         memhier_targets=config.memhier_targets,
         record_memhier_symptoms=config.record_memhier_symptoms,
     )
+    snapshot_cycles = set(inject_cycles or ())
+    checkpoint_cycles = set(checkpoint_cycles)
     snapshots: dict[int, list[int]] = {}
     retired_at: dict[int, int] = {}
-    if inject_cycles:
-        for target in sorted(set(inject_cycles)):
-            pipeline.run(target - pipeline.cycle_count)
-            if not pipeline.running:
-                break
+    checkpoints: dict[int, PipelineCheckpoint] = {}
+    for target in sorted(snapshot_cycles | checkpoint_cycles):
+        pipeline.run(target - pipeline.cycle_count)
+        if not pipeline.running:
+            break
+        if target in checkpoint_cycles:
+            checkpoints[target] = pipeline.checkpoint()
+        if target in snapshot_cycles:
             snapshots[target] = pipeline.registry.snapshot()
             retired_at[target] = pipeline.retired_count
     pipeline.run(config.max_golden_cycles - pipeline.cycle_count)
@@ -443,6 +466,7 @@ def _run_golden(
             for event in pipeline.symptoms
             if event.kind == "hc_mispredict"
         ),
+        checkpoints=checkpoints,
     )
 
 
@@ -500,7 +524,9 @@ class _Scheduler:
     :class:`~repro.uarch.latches.StateRegistry` value plus memory) has
     *healed*: the rest of its window would replay golden, so it retires
     at once. The others run out their window. An unpaced shadow runs its
-    whole window at birth, the serial trial. Shadow failures and wall-
+    whole window at birth, the serial trial. The prefix steps only while
+    a shadow is live; otherwise it jumps to the next injection point by
+    restoring golden's checkpoint there. Shadow failures and wall-
     clock overruns (counted over the shadow's own slices) are held on the
     shadow; outcomes leave through the guard in serial ``(point, index)``
     order, with the classification, or the held failure, inside the
@@ -532,8 +558,10 @@ class _Scheduler:
         return self.outcomes
 
     def _advance(self, target: int | None) -> None:
-        """Walk the prefix to cycle ``target``, pacing the live shadows;
-        ``None`` walks on until no shadow is live."""
+        """Bring the prefix to cycle ``target``, pacing the live shadows;
+        ``None`` walks on until no shadow is live. With no shadow live
+        there is nothing to pace, so the prefix jumps: it restores
+        golden's checkpoint at ``target`` instead of stepping there."""
         prefix = self.prefix
         while self.live and prefix.running and (
             target is None or prefix.cycle_count < target
@@ -552,7 +580,7 @@ class _Scheduler:
             self.live = []
             self._emit_ready()
         elif target is not None and prefix.cycle_count < target:
-            prefix.run(target - prefix.cycle_count)
+            prefix.restore(self.golden.checkpoints[target])
 
     def _pace(self, shadow: _Shadow) -> bool:
         """Step a live shadow to the prefix's cycle (or its window end)

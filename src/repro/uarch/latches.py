@@ -9,10 +9,13 @@ Every piece of pipeline machine state registers here exactly once:
   diffs two snapshots — exactly the operations latch-level campaigns need.
 - **Substrate** is copied with the machine but never injected or counted:
   predictor tables, TLBs, timing metadata, counters, status scalars, the
-  event wheel. :meth:`StateRegistry.copy_to` walks both kinds, which is
-  all :meth:`~repro.uarch.pipeline.Pipeline.fork` needs, and
-  :meth:`StateRegistry.equals` compares both, which with the memory image
-  is the uarch lockstep scheduler's heal check.
+  event wheel. :meth:`StateRegistry.capture` reads both kinds out as
+  detached, picklable values and :meth:`StateRegistry.load` writes them
+  into another registry of the same layout; with the memory image, that
+  is all a :meth:`~repro.uarch.pipeline.Pipeline.fork` or a
+  :meth:`~repro.uarch.pipeline.Pipeline.checkpoint` needs.
+  :meth:`StateRegistry.equals` compares both kinds, which with the memory
+  image is the uarch lockstep scheduler's heal check.
 
 Injectable state classes mirror the paper's taxonomy:
 
@@ -127,7 +130,7 @@ class StateRegistry:
 
         ``on_set``, when given, fires after every write through the
         registry — fault injection (:meth:`StateField.flip`),
-        :meth:`restore`, and :meth:`copy_to` — but not on the structure's
+        :meth:`restore`, and :meth:`load` — but not on the structure's
         own direct list writes. Structures use it to invalidate derived
         lookup indexes (e.g. the scheduler's wakeup index) when state
         changes behind their back."""
@@ -145,10 +148,10 @@ class StateRegistry:
     def register_substrate(
         self, owner: Any, *attributes: str, clone: Callable | None = None
     ) -> None:
-        """Register attributes of ``owner`` as substrate: copied by
-        :meth:`copy_to`, never injected, counted, or snapshotted. Lists
-        are copied in place; other values are rebound, through ``clone``
-        when they hold mutable containers.
+        """Register attributes of ``owner`` as substrate: captured and
+        loaded with the machine, never injected, counted, or snapshotted.
+        Lists are loaded in place; other values are rebound, through
+        ``clone`` when they hold mutable containers.
 
         Owners are held weakly: a pipeline registers its own status
         scalars, and a strong reference back to it would make every fork a
@@ -157,24 +160,41 @@ class StateRegistry:
         ref = weakref.ref(owner)
         self.substrate.extend((ref, attribute, clone) for attribute in attributes)
 
-    def copy_to(self, other: "StateRegistry") -> None:
-        """Copy every registered value into ``other``, a registry built by
-        the same constructor (so both schemas line up record by record)."""
-        for mine, theirs in zip(self.arrays, other.arrays, strict=True):
-            theirs.storage[:] = mine.storage
-            if theirs.on_set is not None:
-                theirs.on_set()
-        for (owner_ref, attribute, clone), (target_ref, _, _) in zip(
-            self.substrate, other.substrate, strict=True
-        ):
+    def capture(self) -> tuple[list[list[int]], list[Any]]:
+        """Every registered value as plain data, detached from this
+        machine: injectable arrays and substrate lists as fresh lists,
+        ``clone`` records cloned, scalars as they are. The result
+        pickles, and :meth:`load` writes it into any registry built by
+        the same constructor, as often as asked."""
+        substrate = []
+        for owner_ref, attribute, clone in self.substrate:
             value = getattr(owner_ref(), attribute)
-            target = target_ref()
             if clone is not None:
-                setattr(target, attribute, clone(value))
+                value = clone(value)
             elif type(value) is list:
-                getattr(target, attribute)[:] = value
+                value = list(value)
+            substrate.append(value)
+        return [list(array.storage) for array in self.arrays], substrate
+
+    def load(self, values: tuple[list[list[int]], list[Any]]) -> None:
+        """Write a :meth:`capture` into this registry: arrays and
+        substrate lists in place (firing ``on_set``), ``clone`` records as
+        fresh clones, so the capture itself is never aliased."""
+        arrays, substrate = values
+        for array, stored in zip(self.arrays, arrays, strict=True):
+            array.storage[:] = stored
+            if array.on_set is not None:
+                array.on_set()
+        for (owner_ref, attribute, clone), value in zip(
+            self.substrate, substrate, strict=True
+        ):
+            owner = owner_ref()
+            if clone is not None:
+                setattr(owner, attribute, clone(value))
+            elif type(value) is list:
+                getattr(owner, attribute)[:] = value
             else:
-                setattr(target, attribute, value)
+                setattr(owner, attribute, value)
 
     def equals(self, other: "StateRegistry") -> bool:
         """Whether ``other``, a registry built by the same constructor,

@@ -85,6 +85,20 @@ class RetiredInst:
 
 
 @dataclass(frozen=True, slots=True)
+class PipelineCheckpoint:
+    """A detached copy of one pipeline's machine state.
+
+    ``values`` is a :meth:`~repro.uarch.latches.StateRegistry.capture`;
+    ``memory`` is a copy-on-write clone, so the checkpoints of one run
+    share the pages nothing wrote in between (and pickle stores each
+    distinct page once). :meth:`Pipeline.restore` only ever clones it, so
+    one checkpoint serves any number of restores."""
+
+    values: tuple[list[list[int]], list]
+    memory: SparseMemory
+
+
+@dataclass(frozen=True, slots=True)
 class SymptomEvent:
     """A detector-visible event (Section 3's symptom candidates)."""
 
@@ -1390,12 +1404,12 @@ class Pipeline:
     def fork(self) -> "Pipeline":
         """An independent deep copy of the full machine state.
 
-        Fault campaigns run one golden pipeline forward and fork it at each
-        injection point, so a trial only pays for the post-injection window
-        instead of a whole run from reset. The memory image is deep-copied
+        Fault campaigns fork the prefix pipeline at each injection point,
+        so a trial only pays for the post-injection window instead of a
+        whole run from reset. The memory image is deep-copied
         (:meth:`~repro.arch.memory.SparseMemory.clone`); everything else —
-        injectable arrays and substrate alike — is copied by walking the
-        state schema.
+        injectable arrays and substrate alike — goes through the state
+        schema's capture and load, the path checkpoints take too.
         """
         copy = Pipeline(
             self.memory.clone(),
@@ -1408,8 +1422,22 @@ class Pipeline:
             record_memhier_symptoms=self.record_memhier_symptoms,
             decode_cache=self._decode_cache,
         )
-        self.registry.copy_to(copy.registry)
+        copy.registry.load(self.registry.capture())
         return copy
+
+    def checkpoint(self) -> PipelineCheckpoint:
+        """This machine's state, detached and picklable."""
+        return PipelineCheckpoint(self.registry.capture(), self.memory.clone_cow())
+
+    def restore(self, checkpoint: PipelineCheckpoint) -> None:
+        """Put this pipeline, in place, into a checkpoint's state: a deep
+        clone of its memory (its pages are never written), an empty fetch
+        cache, and every registered value. A checkpoint taken from a
+        pipeline built with the same options restores exactly the state
+        :meth:`fork` would have copied from it."""
+        self.memory = checkpoint.memory.clone()
+        self._fetch_cache.clear()
+        self.registry.load(checkpoint.values)
 
     # -------------------------------------------------- architectural views
 

@@ -6,10 +6,13 @@ record is then built from its own pre-heal history plus golden's. The
 contract is the arch scheduler's: every ``UarchTrialResult`` field equals
 the full-window serial trial's, under sharding, resume, dense points,
 windows that outlive golden, and detector campaigns — and a shadow that
-crashes or overruns its budget is contained in its own record.
+crashes or overruns its budget is contained in its own record. The prefix
+itself steps only while a shadow is live; otherwise it jumps to the next
+injection point by restoring golden's checkpoint there.
 """
 
 import time
+import weakref
 
 import pytest
 
@@ -57,6 +60,43 @@ def heals(monkeypatch):
 
     monkeypatch.setattr(StateRegistry, "equals", equals)
     return count
+
+
+@pytest.fixture
+def prefix_steps(monkeypatch):
+    """Cycles the campaign's prefix pipeline steps, split by whether a
+    shadow was live as it stepped. The prefix is identified as the e2e
+    span recorder identifies it: the object ``uarch_campaign.
+    load_pipeline`` returns for anything but a golden run, held weakly
+    (forks reuse the ids of freed prefixes, so ``id()`` would miscount)."""
+    prefixes = weakref.WeakSet()
+    schedulers = []
+    steps = {"live": 0, "idle": 0}
+    real_load = uarch_campaign.load_pipeline
+    real_init = uarch_campaign._Scheduler.__init__
+    real_run = Pipeline.run
+
+    def load_pipeline(*args, **kwargs):
+        pipeline = real_load(*args, **kwargs)
+        if not kwargs.get("collect_retired"):
+            prefixes.add(pipeline)
+        return pipeline
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        schedulers.append(self)
+
+    def run(self, max_cycles, max_retired=None):
+        before = self.cycle_count
+        real_run(self, max_cycles, max_retired)
+        if self in prefixes:
+            scheduler = next(s for s in schedulers if s.prefix is self)
+            steps["live" if scheduler.live else "idle"] += self.cycle_count - before
+
+    monkeypatch.setattr(uarch_campaign, "load_pipeline", load_pipeline)
+    monkeypatch.setattr(uarch_campaign._Scheduler, "__init__", init)
+    monkeypatch.setattr(Pipeline, "run", run)
+    return steps
 
 
 def twins(config, workload, cache, **kwargs):
@@ -152,6 +192,45 @@ class TestSerialTwinIdentity:
             run_campaign("uarch", config, journal_path=str(paths[lockstep]),
                          lockstep=lockstep)
         assert paths[True].read_bytes() == paths[False].read_bytes()
+
+
+class TestPrefixJumps:
+    """With no shadow live there is nothing to pace, so the prefix jumps
+    to the next injection point instead of stepping there."""
+
+    def test_detector_campaign_prefix_never_steps(self, cache, prefix_steps):
+        config = UarchCampaignConfig(
+            trials_per_workload=6, injection_points=3, window_cycles=800,
+            workloads=("mcf",), memhier_targets=True,
+            detectors=("miss_spike", "stall_outlier", "spurious_memop"),
+        )
+        outcome = uarch_campaign.run_workload_trials(config, "mcf", cache=cache)
+        assert len(outcome.outcomes) == config.trials_per_workload
+        assert prefix_steps == {"live": 0, "idle": 0}
+
+    @pytest.mark.parametrize("run", ["small", "shard", "resume"])
+    def test_paced_prefix_steps_only_while_a_shadow_is_live(
+        self, cache, prefix_steps, run
+    ):
+        if run == "small":
+            config = UarchCampaignConfig(**SMALL, workloads=("gcc",))
+            outcome = uarch_campaign.run_workload_trials(config, "gcc", cache=cache)
+            expected = config.trials_per_workload
+        else:
+            kwargs = {"shard": (1, 2)} if run == "shard" else {
+                "completed": {
+                    o.key for o in uarch_campaign.run_workload_trials(
+                        DENSE, "gcc", cache=cache, lockstep=False
+                    ).outcomes[::2]
+                }
+            }
+            outcome = uarch_campaign.run_workload_trials(
+                DENSE, "gcc", cache=cache, **kwargs
+            )
+            expected = DENSE.trials_per_workload // 2
+        assert len(outcome.outcomes) == expected
+        assert prefix_steps["live"] > 0
+        assert prefix_steps["idle"] == 0
 
 
 class TestContainment:

@@ -1,6 +1,7 @@
-"""The pipeline's machine-state schema: every attribute is registered once,
-and fork, snapshot/restore, and the golden-cache pickle reproduce every
-registered value."""
+"""The pipeline's machine-state schema: every attribute is registered once;
+fork, snapshot/restore, checkpoint/restore and the golden-cache pickle
+reproduce every registered value; and a prefix restored from golden's
+checkpoints is the prefix a walk from reset reaches."""
 
 import random
 import tempfile
@@ -10,10 +11,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.arch.memory import PAGE_SHIFT, PAGE_SIZE
 from repro.cache import GoldenArtifactCache, UarchGoldenArtifact
-from repro.faults import UarchCampaignConfig
+from repro.faults import UarchCampaignConfig, uarch_campaign
 from repro.faults.uarch_campaign import _latent_is_arch_relevant, _same_state
+from repro.restore.symptoms import MEMHIER_DETECTOR_NAMES
 from repro.uarch import load_pipeline
-from repro.workloads import build_workload
+from repro.util.rng import DeterministicRng
+from repro.workloads import WORKLOAD_NAMES, build_workload
 
 # Pipeline attributes holding components whose own attributes are checked.
 COMPONENTS = (
@@ -163,16 +166,22 @@ class TestSchemaRoundTrips:
               suppress_health_check=[HealthCheck.too_slow])
     @given(
         cycles=st.integers(0, 1_200),
+        elsewhere_cycles=st.integers(0, 1_200),
         seed=st.integers(0, 2**32 - 1),
         memhier_targets=st.booleans(),
     )
     def test_fork_snapshot_and_cache_reproduce_every_value(
-        self, cycles, seed, memhier_targets
+        self, cycles, elsewhere_cycles, seed, memhier_targets
     ):
+        rnd = random.Random(seed)
         pipeline = load_pipeline(BUNDLE.program, memhier_targets=memhier_targets)
         pipeline.run(cycles)
-        perturb(pipeline, random.Random(seed))
+        perturb(pipeline, rnd)
+        for page in pipeline.memory.mapped_pages():
+            address = (page << PAGE_SHIFT) + rnd.randrange(PAGE_SIZE - 8)
+            pipeline.memory.load_bytes(address, rnd.randbytes(8))
         expected = schema_values(pipeline)
+        checkpoint = pipeline.checkpoint()
 
         fork = pipeline.fork()
         assert schema_values(fork) == expected
@@ -185,7 +194,8 @@ class TestSchemaRoundTrips:
         assert fresh.registry.snapshot() == snapshot
         assert schema_values(fresh)[0] == expected[0]
 
-        # The golden cache pickles snapshots; one must restore exactly.
+        # The golden cache pickles snapshots and checkpoints; each must
+        # restore exactly.
         artifact = UarchGoldenArtifact(
             end_cycle=pipeline.cycle_count, retired=[],
             snapshots={pipeline.cycle_count: snapshot},
@@ -193,6 +203,7 @@ class TestSchemaRoundTrips:
             final_arch_regs=pipeline.arch_reg_values(),
             final_memory=pipeline.memory,
             hc_mispredicts=((pipeline.cycle_count, pipeline.retired_count),),
+            checkpoints={pipeline.cycle_count: checkpoint},
         )
         config = UarchCampaignConfig(memhier_targets=memhier_targets)
         with tempfile.TemporaryDirectory() as root:
@@ -205,13 +216,33 @@ class TestSchemaRoundTrips:
         assert cached.memhier_targets == memhier_targets
         assert loaded.hc_mispredicts == artifact.hc_mispredicts
 
+        # A pickled checkpoint puts a pipeline standing at another cycle
+        # into exactly the checkpointed state, in place.
+        elsewhere = load_pipeline(BUNDLE.program, memhier_targets=memhier_targets)
+        elsewhere.run(elsewhere_cycles)
+        registry = elsewhere.registry
+        elsewhere.restore(loaded.checkpoints[pipeline.cycle_count])
+        assert elsewhere.registry is registry
+        assert schema_values(elsewhere) == expected
+        assert _same_state(elsewhere, pipeline)
+        assert elsewhere.memory.diff_addresses(pipeline.memory) == []
+        assert elsewhere._fetch_cache == {}
+        # Neither side aliases the other or the checkpoint.
+        assert_unaliased(pipeline, elsewhere)
+        perturb(elsewhere, rnd)
+        for page in elsewhere.memory.mapped_pages():
+            elsewhere.memory.load_bytes(page << PAGE_SHIFT, b"\xff" * 8)
+        elsewhere.restore(loaded.checkpoints[pipeline.cycle_count])
+        assert schema_values(elsewhere) == expected
+        assert _same_state(elsewhere, pipeline)
+
     def test_copy_drops_the_scheduler_waiter_index(self):
         source = load_pipeline(BUNDLE.program)
         source.run(400)
         target = load_pipeline(BUNDLE.program)
         target.run(400)
         assert target.sched._waiters is not None
-        source.registry.copy_to(target.registry)
+        target.registry.load(source.registry.capture())
         assert target.sched._waiters is None
         assert schema_values(target) == schema_values(source)
 
@@ -223,6 +254,76 @@ class TestSchemaRoundTrips:
             assert registry.fields[index].name == f"{array.name}[{slot}]"
         with pytest.raises(IndexError):
             registry.locate(len(registry.fields))
+
+
+# Cycles a restored prefix and the walked one step side by side.
+STEP_CYCLES = 500
+
+
+def restored_equals_walked(name: str, config: UarchCampaignConfig) -> int:
+    """Build golden's checkpoints at the campaign's own injection points,
+    walk a fresh pipeline from reset through every point, and check the
+    prefix restored at each point against it: the same state there, and
+    the same retired records, symptoms and state after both step
+    :data:`STEP_CYCLES` more. Returns the number of points checked."""
+    bundle = build_workload(name, config.workload_scale, config.seed)
+    wrng = DeterministicRng(config.seed).child("uarch-campaign").child(name)
+    probe = uarch_campaign._run_golden(bundle, config, inject_cycles=None)
+    assert probe.checkpoints == {}
+    points = uarch_campaign._injection_points(wrng, config, probe.end_cycle)
+    golden = uarch_campaign._run_golden(
+        bundle, config, inject_cycles=None, checkpoint_cycles=points
+    )
+    assert sorted(golden.checkpoints) == points
+
+    options = dict(
+        record_cache_symptoms=config.record_cache_symptoms,
+        memhier_targets=config.memhier_targets,
+        record_memhier_symptoms=config.record_memhier_symptoms,
+    )
+    walked = load_pipeline(bundle.program, **options)
+    walked.retired_log = []
+    stepping: dict[int, list] = {}  # end cycle -> [(restored, retired, symptoms)]
+    stops = sorted(set(points) | {point + STEP_CYCLES for point in points})
+    for cycle in stops:
+        walked.run(cycle - walked.cycle_count)
+        if cycle in golden.checkpoints:
+            restored = load_pipeline(bundle.program, **options)
+            restored.restore(golden.checkpoints[cycle])
+            assert _same_state(restored, walked), (name, cycle)
+            restored.retired_log = []
+            restored.symptoms = []
+            restored.run(STEP_CYCLES)
+            stepping.setdefault(cycle + STEP_CYCLES, []).append(
+                (restored, len(walked.retired_log), len(walked.symptoms))
+            )
+        for restored, retired, symptoms in stepping.pop(cycle, []):
+            assert restored.cycle_count == walked.cycle_count, (name, cycle)
+            assert restored.retired_log == walked.retired_log[retired:], (name, cycle)
+            assert restored.symptoms == walked.symptoms[symptoms:], (name, cycle)
+            assert _same_state(restored, walked), (name, cycle)
+    assert not stepping
+    return len(points)
+
+
+class TestRestoredPrefix:
+    """The campaign's prefix jumps to an injection point by restoring
+    golden's checkpoint there instead of stepping; that is only sound if
+    the restored machine is the walked one, at the point and from then on.
+    This is the first test to run after touching the schema or Pipeline."""
+
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_restored_prefix_is_the_walked_prefix(self, name):
+        config = UarchCampaignConfig(seed=2005, workloads=(name,))
+        assert restored_equals_walked(name, config) == config.injection_points
+
+    def test_with_memhier_targets_and_symptoms(self):
+        config = UarchCampaignConfig(
+            seed=2005, workloads=("mcf",), memhier_targets=True,
+            detectors=MEMHIER_DETECTOR_NAMES,
+        )
+        assert config.record_memhier_symptoms
+        assert restored_equals_walked("mcf", config) == config.injection_points
 
 
 def nudged(value, rnd: random.Random):
