@@ -1,4 +1,4 @@
-"""Throughput benchmark for the campaign service worker fleet.
+"""Throughput benchmark for the campaign service's local worker pool.
 
 Submits the same sharded fault-injection job to an in-process
 scheduler + :class:`LocalWorkerPool` at 1, 2, and 4 workers and records
@@ -13,14 +13,13 @@ Results are written as schema'd JSON (see ``SCHEMA``). Usage::
     PYTHONPATH=src python benchmarks/service_throughput.py --scale smoke \
         --out benchmarks/out/service_throughput.json
 
-By default units execute on a process pool — the production
+Units execute on the pool's own process pool — the ``repro serve``
 configuration, one OS process per worker — with workers leasing in
 batches of ``--lease-batch`` units per scheduler call. Scaling numbers
-from a process fleet are only honest on a multi-core host, so when
+from a process pool are only honest on a multi-core host, so when
 ``os.cpu_count() < 2`` the benchmark refuses to publish: at smoke scale
 it warns and exits 0 without writing ``--out`` (CI smoke stays green on
-tiny runners), at full scale it exits 1. Pass ``--executor thread`` to
-measure the GIL-bound configuration anyway.
+tiny runners), at full scale it exits 1.
 """
 
 from __future__ import annotations
@@ -80,14 +79,14 @@ SCALES = {
 POLL_INTERVAL = 0.01
 
 
-async def _run_job(spec: JobSpec, workers: int, executor_kind: str,
-                   lease_batch: int, data_dir: str) -> dict:
+async def _run_job(spec: JobSpec, workers: int, lease_batch: int,
+                   data_dir: str) -> dict:
     """One timed run: submit, drain with ``workers`` workers, finalize."""
     store = ResultStore(":memory:")
     scheduler = CampaignScheduler(store, data_dir)
     pool = LocalWorkerPool(
-        scheduler, workers=workers, executor_kind=executor_kind,
-        lease_batch=lease_batch, poll_interval=POLL_INTERVAL,
+        scheduler, workers=workers, lease_batch=lease_batch,
+        poll_interval=POLL_INTERVAL,
     )
     try:
         pool.start()
@@ -113,8 +112,7 @@ async def _run_job(spec: JobSpec, workers: int, executor_kind: str,
     }
 
 
-def run_benchmarks(scale: str, executor_kind: str, lease_batch: int,
-                   data_dir: str) -> dict:
+def run_benchmarks(scale: str, lease_batch: int, data_dir: str) -> dict:
     knobs = SCALES[scale]
     spec = JobSpec(
         level=knobs["level"],
@@ -124,11 +122,10 @@ def run_benchmarks(scale: str, executor_kind: str, lease_batch: int,
 
     # Warm-up: one throwaway single-worker run so decode caches and
     # executor start-up cost don't land in the first measurement.
-    asyncio.run(_run_job(spec, 1, executor_kind, lease_batch, data_dir))
+    asyncio.run(_run_job(spec, 1, lease_batch, data_dir))
 
     runs = [
-        asyncio.run(_run_job(spec, workers, executor_kind, lease_batch,
-                             data_dir))
+        asyncio.run(_run_job(spec, workers, lease_batch, data_dir))
         for workers in WORKER_COUNTS
     ]
 
@@ -162,7 +159,7 @@ def run_benchmarks(scale: str, executor_kind: str, lease_batch: int,
         "schema": SCHEMA,
         "version": __version__,
         "scale": scale,
-        "executor": executor_kind,
+        "executor": "process",
         "lease_batch": lease_batch,
         "python": platform.python_version(),
         "platform": platform.platform(),
@@ -180,9 +177,6 @@ def run_benchmarks(scale: str, executor_kind: str, lease_batch: int,
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", choices=sorted(SCALES), default="smoke")
-    parser.add_argument("--executor", choices=("thread", "process"),
-                        default="process",
-                        help="how workers run units (default: process)")
     parser.add_argument("--lease-batch", type=int, default=4,
                         help="units leased per scheduler call (default: 4)")
     parser.add_argument("--out", default=None,
@@ -193,10 +187,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--lease-batch must be >= 1, got {args.lease_batch}")
 
     cpus = os.cpu_count() or 1
-    if args.executor == "process" and cpus < 2:
+    if cpus < 2:
         message = (
             f"service_throughput: host has cpu_count={cpus}; a process-"
-            f"fleet scaling baseline from a single-core machine would be "
+            f"pool scaling baseline from a single-core machine would be "
             f"dishonest, refusing to publish one"
         )
         if args.scale == "smoke":
@@ -209,8 +203,7 @@ def main(argv: list[str] | None = None) -> int:
     import tempfile
 
     with tempfile.TemporaryDirectory(prefix="service-bench-") as data_dir:
-        report = run_benchmarks(args.scale, args.executor, args.lease_batch,
-                                data_dir)
+        report = run_benchmarks(args.scale, args.lease_batch, data_dir)
     payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
         os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)

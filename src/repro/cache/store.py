@@ -6,7 +6,7 @@ fault-free (the *golden* run), derive the comparator indices, and bring a
 prefix simulator to each injection point. None of that work depends on
 which process performs it — it is a pure function of the program bytes
 and the scientific configuration — so this module memoizes it on disk,
-once per ``(program, config)`` across an entire worker fleet. Arch
+once per ``(program, config)`` across every process that shares it. Arch
 entries carry periodic architectural snapshots to fast-forward from;
 uarch entries carry a full machine checkpoint at every injection point,
 which the prefix pipeline restores instead of re-simulating.

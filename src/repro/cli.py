@@ -19,7 +19,6 @@ Exposes the library's main flows without writing Python::
     repro submit uarch --trials 120 --shards 2 --wait
     repro jobs                                # list service jobs
     repro jobs job-000001 --results
-    repro worker --url http://host:8642       # join the worker fleet
     repro trace validate run.trace.jsonl
     repro perf --intervals 50,100,500
     repro fit --baseline 0.07 --restore 0.035 --lhf 0.03 --combined 0.01
@@ -198,7 +197,8 @@ def _resolve_cache_dir(cache_dir: str | None, no_cache: bool) -> str | None:
 
     Precedence: ``--no-cache`` (off) > ``--cache-dir PATH`` >
     ``$REPRO_CACHE_DIR`` > off. The cache defaults to off so casual runs
-    leave no stray state; fleets opt in via the env var or flag.
+    leave no stray state; services and big runs opt in via the env var
+    or flag.
     """
     if no_cache:
         return None
@@ -523,16 +523,13 @@ async def _serve_async(args: argparse.Namespace) -> int:
     )
     service = CampaignService(scheduler, host=args.host, port=args.port)
     await service.start()
-    pool = None
-    if args.workers > 0:
-        pool = LocalWorkerPool(
-            scheduler,
-            workers=args.workers,
-            executor_kind=args.executor,
-            lease_batch=args.lease_batch,
-            cache_dir=_resolve_cache_dir(args.cache_dir, args.no_cache),
-        )
-        pool.start()
+    pool = LocalWorkerPool(
+        scheduler,
+        workers=args.workers,
+        lease_batch=args.lease_batch,
+        cache_dir=_resolve_cache_dir(args.cache_dir, args.no_cache),
+    )
+    pool.start()
     print(
         f"campaign service listening on {service.address} "
         f"(data: {args.data_dir}, local workers: {args.workers})",
@@ -543,16 +540,15 @@ async def _serve_async(args: argparse.Namespace) -> int:
     except asyncio.CancelledError:
         pass
     finally:
-        if pool is not None:
-            await pool.stop()
+        await pool.stop()
         await service.stop()
         store.close()
     return 0
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    if args.workers < 0:
-        raise SystemExit(f"--workers must be >= 0, got {args.workers}")
+    if args.workers < 1:
+        raise SystemExit(f"--workers must be >= 1, got {args.workers}")
     if args.lease_ttl <= 0:
         raise SystemExit(f"--lease-ttl must be positive, got {args.lease_ttl}")
     if args.max_attempts < 1:
@@ -715,81 +711,6 @@ def cmd_jobs(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_worker(args: argparse.Namespace) -> int:
-    from repro.service import RemoteWorker, ServiceClientError
-    from repro.service.client import DEFAULT_RETRY_POLICY, ServiceClient
-    from repro.util.retry import RetryPolicy
-
-    if args.max_units is not None and args.max_units < 1:
-        raise SystemExit(f"--max-units must be >= 1, got {args.max_units}")
-    if args.lease_batch < 1:
-        raise SystemExit(
-            f"--lease-batch must be >= 1, got {args.lease_batch}"
-        )
-    if args.complete_chunk < 0:
-        raise SystemExit(
-            f"--complete-chunk must be >= 0, got {args.complete_chunk}"
-        )
-    name = args.name or f"worker-{os.getpid()}"
-    retry = DEFAULT_RETRY_POLICY
-    if args.retry_attempts is not None:
-        if args.retry_attempts < 1:
-            raise SystemExit(
-                f"--retry-attempts must be >= 1, got {args.retry_attempts}"
-            )
-        retry = RetryPolicy(
-            attempts=args.retry_attempts,
-            base_delay=DEFAULT_RETRY_POLICY.base_delay,
-            multiplier=DEFAULT_RETRY_POLICY.multiplier,
-            max_delay=DEFAULT_RETRY_POLICY.max_delay,
-            jitter=DEFAULT_RETRY_POLICY.jitter,
-        )
-    transport = None
-    if args.chaos_rate != 0.0:
-        from repro.service.chaos import ChaosPlan, ChaosTransport
-
-        try:
-            plan = ChaosPlan.uniform(args.chaos_seed, args.chaos_rate,
-                                     max_faults=args.chaos_max_faults)
-        except ValueError as exc:
-            raise SystemExit(f"--chaos-rate: {exc}") from None
-        transport = ChaosTransport(plan)
-    client = ServiceClient(args.url, transport=transport, retry=retry)
-    try:
-        client.health()
-    except ServiceClientError as exc:
-        raise SystemExit(str(exc)) from None
-    worker = RemoteWorker(
-        client,
-        name,
-        poll_interval=args.poll,
-        max_units=args.max_units,
-        exit_when_idle=args.exit_when_idle,
-        cache_dir=_resolve_cache_dir(args.cache_dir, args.no_cache),
-        outbox_dir=args.outbox_dir,
-        lease_batch=args.lease_batch,
-        complete_chunk=args.complete_chunk or None,
-    )
-    try:
-        done = worker.run()
-    except KeyboardInterrupt:
-        done = worker.units_done
-        print(f"\n{name}: interrupted", file=sys.stderr)
-    print(f"{name}: {done} unit(s) completed, "
-          f"{worker.units_failed} failed")
-    counters = {k: v for k, v in worker.counters().items() if v}
-    counters.update(
-        {k: v for k, v in client.counters.items()
-         if v and k != "requests"}
-    )
-    if transport is not None and transport.faults_injected():
-        counters["chaos_faults"] = transport.faults_injected()
-    if counters:
-        detail = ", ".join(f"{k}={v}" for k, v in sorted(counters.items()))
-        print(f"{name}: {detail}", file=sys.stderr)
-    return 0
-
-
 def cmd_cache(args: argparse.Namespace) -> int:
     from repro.cache import GoldenArtifactCache, format_cache_stats
 
@@ -934,13 +855,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-dir", default="service-data", metavar="DIR",
                    help="where the SQLite store and job journals live")
     p.add_argument("--workers", type=int, default=1, metavar="N",
-                   help="in-process worker loops (0 = rely on external "
-                        "'repro worker' processes)")
-    p.add_argument("--executor", choices=("process", "thread"),
-                   default="process",
-                   help="how local workers execute units (default: process "
-                        "— one OS process per worker, so trials scale "
-                        "across cores)")
+                   help="worker loops, and processes in the pool that "
+                        "runs their units (default: 1)")
     p.add_argument("--lease-batch", type=int, default=1, metavar="N",
                    help="units each local worker leases per scheduler call "
                         "(one lease clock per batch; pipelined through the "
@@ -995,44 +911,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, default=50)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_jobs)
-
-    p = sub.add_parser(
-        "worker",
-        help="lease and run work units from a campaign service",
-    )
-    p.add_argument("--url", default="http://127.0.0.1:8642")
-    p.add_argument("--name", default=None,
-                   help="worker identity (default: worker-<pid>)")
-    p.add_argument("--poll", type=float, default=0.5, metavar="SECONDS",
-                   help="idle polling interval")
-    p.add_argument("--max-units", type=int, default=None, metavar="N",
-                   help="exit after completing N units")
-    p.add_argument("--lease-batch", type=int, default=1, metavar="N",
-                   help="units to lease per service round trip (the batch "
-                        "shares one lease clock and is heartbeated as a "
-                        "whole while draining)")
-    p.add_argument("--complete-chunk", type=int, default=200, metavar="N",
-                   help="stream unit results back in chunks of N trial "
-                        "outcomes per POST (0 = deliver each unit's "
-                        "results in one request)")
-    p.add_argument("--exit-when-idle", action="store_true",
-                   help="exit when the queue has no leasable unit")
-    p.add_argument("--outbox-dir", default=None, metavar="DIR",
-                   help="directory for the durable result outbox "
-                        "(default: a per-run temp directory)")
-    p.add_argument("--retry-attempts", type=int, default=None, metavar="N",
-                   help="HTTP attempts per request before giving up "
-                        "(default: 3)")
-    p.add_argument("--chaos-seed", type=int, default=2005,
-                   help="seed for the chaos transport schedule")
-    p.add_argument("--chaos-rate", type=float, default=0.0, metavar="P",
-                   help="inject seeded transport faults (drop/reset/"
-                        "duplicate/truncate/delay each at rate P; testing "
-                        "only)")
-    p.add_argument("--chaos-max-faults", type=int, default=None, metavar="N",
-                   help="total chaos fault budget (default: unbounded)")
-    _add_cache_flags(p)
-    p.set_defaults(func=cmd_worker)
 
     p = sub.add_parser(
         "cache",

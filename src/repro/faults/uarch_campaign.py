@@ -360,7 +360,7 @@ def run_workload_trials(
             # Choose injection cycles before running golden: spread
             # uniformly over the run. We need golden's length first, so
             # run it now.
-            golden = _run_golden(bundle, config, inject_cycles=None)
+            golden = _run_golden(bundle, config, snapshot_cycles=None)
         end_cycle = golden.end_cycle
         points = _injection_points(wrng, config, end_cycle)
         if artifact is None:
@@ -372,7 +372,7 @@ def run_workload_trials(
                 if point + config.window_cycles < end_cycle
             ]
             golden = _run_golden(
-                bundle, config, inject_cycles=snapshot_cycles,
+                bundle, config, snapshot_cycles=snapshot_cycles,
                 checkpoint_cycles=points,
             )
             if cache is not None:
@@ -421,10 +421,10 @@ def _injection_points(
 
 
 def _run_golden(
-    bundle, config: UarchCampaignConfig, inject_cycles, checkpoint_cycles=()
+    bundle, config: UarchCampaignConfig, snapshot_cycles, checkpoint_cycles=()
 ) -> UarchGoldenArtifact:
     """Run golden fault-free to its halt. On the way it stops at each
-    trial-end cycle in ``inject_cycles`` to snapshot the injectable state,
+    trial-end cycle in ``snapshot_cycles`` to snapshot the injectable state,
     and at each injection point in ``checkpoint_cycles`` to take a full
     machine checkpoint; the length probe asks for neither."""
     pipeline = load_pipeline(
@@ -434,7 +434,7 @@ def _run_golden(
         memhier_targets=config.memhier_targets,
         record_memhier_symptoms=config.record_memhier_symptoms,
     )
-    snapshot_cycles = set(inject_cycles or ())
+    snapshot_cycles = set(snapshot_cycles or ())
     checkpoint_cycles = set(checkpoint_cycles)
     snapshots: dict[int, list[int]] = {}
     retired_at: dict[int, int] = {}

@@ -1,11 +1,11 @@
-"""The campaign service: fault injection at fleet scale.
+"""The campaign service: fault-injection campaigns as jobs on one host.
 
 Statistical fault-injection campaigns (the paper's Section 3 methodology)
 are embarrassingly parallel *because* of a deliberate property of this
 reproduction: every trial's randomness derives from
 ``(seed, workload, point, index)`` alone. This package exploits that to
 turn campaigns into a service — jobs sharded into ``(workload,
-seed-slice)`` work units, a pull-based worker protocol with leases and
+seed-slice)`` work units, leased to an in-process worker pool with
 heartbeats so a dead worker's units are requeued, a SQLite result store
 ingesting trial records idempotently, and an HTTP JSON API with SSE
 progress streaming. A finished job's journal is **bit-identical** to a
@@ -19,53 +19,34 @@ Layers:
 - :mod:`repro.service.shard` — work units and the stride-sharding model.
 - :mod:`repro.service.store` — the SQLite job/unit/trial store.
 - :mod:`repro.service.scheduler` — lifecycle, leases, finalization.
-- :mod:`repro.service.worker` — unit execution, local pool, remote loop.
+- :mod:`repro.service.worker` — unit execution and the local process
+  pool that drains the queue.
 - :mod:`repro.service.api` — the asyncio HTTP front end.
-- :mod:`repro.service.client` — the urllib client the CLI uses, with
-  retries, retryable-vs-fatal error classification, and per-endpoint
-  circuit breakers.
-- :mod:`repro.service.chaos` — the seeded fault-injection transport and
-  worker-killer driver the chaos tests and CI chaos-smoke job use.
+- :mod:`repro.service.client` — the urllib client the CLI uses.
 
 CLI: ``repro serve`` runs scheduler + API + local pool; ``repro submit``
-submits and optionally waits; ``repro jobs`` lists/inspects/cancels;
-``repro worker`` drains the queue from another process or machine.
+submits and optionally waits; ``repro jobs`` lists, inspects, cancels
+and triages dead-lettered units.
 """
 
 from repro.service.api import CampaignService
-from repro.service.chaos import ChaosPlan, ChaosTransport, WorkerProcess
-from repro.service.client import (
-    ServiceClient,
-    ServiceClientError,
-    TransportError,
-)
+from repro.service.client import ServiceClient, ServiceClientError
 from repro.service.scheduler import CampaignScheduler
 from repro.service.shard import WorkUnit, shard_job
 from repro.service.spec import JobSpec, ServiceError, build_config
 from repro.service.store import ResultStore
-from repro.service.worker import (
-    LocalWorkerPool,
-    RemoteWorker,
-    WorkerOutbox,
-    execute_unit,
-)
+from repro.service.worker import LocalWorkerPool, execute_unit
 
 __all__ = [
     "CampaignScheduler",
     "CampaignService",
-    "ChaosPlan",
-    "ChaosTransport",
     "JobSpec",
     "LocalWorkerPool",
-    "RemoteWorker",
     "ResultStore",
     "ServiceClient",
     "ServiceClientError",
     "ServiceError",
-    "TransportError",
     "WorkUnit",
-    "WorkerOutbox",
-    "WorkerProcess",
     "build_config",
     "execute_unit",
     "shard_job",

@@ -1,9 +1,8 @@
-"""The HTTP JSON API: submit, status, results, SSE progress, leases.
+"""The HTTP JSON API: submit, status, results, SSE progress, triage.
 
 A deliberately small HTTP/1.1 server on ``asyncio.start_server`` — no
-framework, no dependency — serving two audiences:
-
-clients (``repro submit`` / ``repro jobs`` / any curl):
+framework, no dependency — for ``repro submit``, ``repro jobs`` and any
+curl:
 
 - ``GET  /api/health`` — liveness + version.
 - ``POST /api/jobs`` — submit a job spec; returns the job view.
@@ -17,26 +16,18 @@ clients (``repro submit`` / ``repro jobs`` / any curl):
   (history replay, then live events until the job reaches a terminal
   state).
 - ``GET  /api/metrics`` — service-level resilience counters (leases,
-  duplicate completes, lease expiries, dead-letter totals).
+  lease expiries, requeues, dead-letter totals).
 - ``GET  /api/dead-letter`` / ``GET /api/jobs/<id>/dead-letter`` —
   attempt-exhausted units awaiting operator triage.
 - ``POST /api/jobs/<id>/units/<unit>/requeue`` — return a dead-lettered
   unit to the queue with a fresh attempt budget.
 
-workers (``repro worker`` or anything speaking the lease protocol):
-
-- ``POST /api/lease`` — lease up to ``{"count": N}`` units (default 1)
-  in one call (one scheduler transaction, one lease clock per batch);
-  answers ``{"leases": [...], "count": n}``, with no leases when idle.
-- ``POST /api/jobs/<id>/units/<unit>/heartbeat`` — extend a lease.
-- ``POST /api/jobs/<id>/units/<unit>/complete`` — deliver results,
-  either whole or as one of ``{"chunk": {"index": i, "count": n}}``
-  bounded chunks (the final chunk carries the unit-level result).
-- ``POST /api/jobs/<id>/units/<unit>/fail`` — report an attempt failure.
-
-Every handler delegates to the synchronous
+Units are leased, heartbeated and reported in-process by
+:class:`~repro.service.worker.LocalWorkerPool`, not over HTTP. Every
+handler delegates to the synchronous
 :class:`~repro.service.scheduler.CampaignScheduler`; the server also
-runs a sweeper task so leases expire even while no worker is polling.
+runs a sweeper task so the lease of a worker that stopped heartbeating
+expires even while no worker is leasing.
 """
 
 from __future__ import annotations
@@ -51,9 +42,6 @@ from repro.service.spec import JobSpec, ServiceError
 from repro.service.store import JOB_TERMINAL_STATES
 
 MAX_BODY = 4 * 1024 * 1024
-#: Upper bound on units per batched lease — bounds the response body the
-#: way chunked completes bound request bodies.
-MAX_LEASE_BATCH = 64
 _REASONS = {
     200: "OK", 201: "Created", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 413: "Payload Too Large",
@@ -269,25 +257,13 @@ class CampaignService:
             elif route[:1] == ["jobs"] and len(route) == 3 and route[2] == "events" and method == "GET":
                 await self._stream_events(writer, route[1])
                 return False  # SSE consumes the connection
-            elif route == ["lease"] and method == "POST":
-                payload = self._json_payload(body)
-                worker = str(payload.get("worker") or "anonymous")
-                count = payload.get("count", 1)
-                if not isinstance(count, int) or isinstance(count, bool) \
-                        or not 1 <= count <= MAX_LEASE_BATCH:
-                    raise ServiceError(
-                        f"lease count must be an integer in "
-                        f"1..{MAX_LEASE_BATCH}, got {count!r}"
-                    )
-                leases = self.scheduler.lease_batch(worker, count)
-                await self._send_json(
-                    writer, 200, {"leases": leases, "count": len(leases)}
-                )
             elif (
                 len(route) == 5 and route[0] == "jobs" and route[2] == "units"
-                and method == "POST"
+                and route[4] == "requeue" and method == "POST"
             ):
-                await self._unit_report(writer, route[1], route[3], route[4], body)
+                await self._send_json(
+                    writer, 200, self.scheduler.requeue_unit(route[1], route[3])
+                )
             else:
                 await self._send_json(
                     writer, 405 if route else 404,
@@ -321,53 +297,6 @@ class CampaignService:
             "limit": limit,
             "results": entries,
         }
-
-    async def _unit_report(
-        self,
-        writer: asyncio.StreamWriter,
-        job_id: str,
-        unit_id: str,
-        action: str,
-        body: bytes,
-    ) -> None:
-        payload = self._json_payload(body)
-        worker = str(payload.get("worker") or "anonymous")
-        if action == "heartbeat":
-            ok = self.scheduler.heartbeat(job_id, unit_id, worker)
-            await self._send_json(writer, 200, {"ok": ok})
-        elif action == "complete":
-            result = payload.get("result")
-            if not isinstance(result, dict):
-                raise ServiceError("'result' must be a JSON object")
-            chunk = payload.get("chunk")
-            if chunk is not None:
-                if not isinstance(chunk, dict):
-                    raise ServiceError("'chunk' must be a JSON object")
-                try:
-                    index = int(chunk["index"])
-                    count = int(chunk["count"])
-                except (KeyError, TypeError, ValueError):
-                    raise ServiceError(
-                        "'chunk' needs integer 'index' and 'count' fields"
-                    ) from None
-                accepted = self.scheduler.complete_chunk(
-                    job_id, unit_id, worker, result, index, count
-                )
-            else:
-                accepted = self.scheduler.complete(
-                    job_id, unit_id, worker, result
-                )
-            await self._send_json(writer, 200, {"accepted": accepted})
-        elif action == "fail":
-            accepted = self.scheduler.fail(
-                job_id, unit_id, worker, str(payload.get("error") or "unknown")
-            )
-            await self._send_json(writer, 200, {"accepted": accepted})
-        elif action == "requeue":
-            view = self.scheduler.requeue_unit(job_id, unit_id)
-            await self._send_json(writer, 200, view)
-        else:
-            raise ServiceError(f"unknown unit action {action!r}")
 
     async def _stream_events(
         self, writer: asyncio.StreamWriter, job_id: str

@@ -2,13 +2,14 @@
 
 The scheduler owns every state transition in the service. It shards a
 submitted :class:`~repro.service.spec.JobSpec` into work units, hands
-units to workers through a pull-based lease protocol (lease → heartbeat
-→ complete/fail, with expiry requeue when a worker vanishes), ingests
-per-unit results into the :class:`~repro.service.store.ResultStore`, and
-— once a job has no unit left in flight — finalizes it by writing a
-campaign journal **bit-identical to a serial ``run_campaign``** of the
-same spec: the same manifest, the same trial lines in the same order,
-the same workload sentinels, the same trailing telemetry aggregate.
+units to the local worker pool's loops through a pull-based lease
+protocol (lease → heartbeat → complete/fail, with expiry requeue when a
+worker stops heartbeating), ingests per-unit results into the
+:class:`~repro.service.store.ResultStore`, and — once a job has no unit
+left in flight — finalizes it by writing a campaign journal
+**bit-identical to a serial ``run_campaign``** of the same spec: the
+same manifest, the same trial lines in the same order, the same
+workload sentinels, the same trailing telemetry aggregate.
 
 Lease protocol invariants:
 
@@ -18,13 +19,12 @@ Lease protocol invariants:
   retry-once semantics), whether the attempts ended in explicit failure
   reports or silent lease expiries.
 - Leases may be granted in batches (up to N units per call, one store
-  transaction, one lease clock per batch) and results may arrive in
-  bounded chunks; neither changes any completion invariant — every unit
-  in a batch completes, fails, or expires individually, and chunk
-  ingestion is idempotent on the trial key.
+  transaction, one lease clock per batch); every unit in a batch
+  completes, fails, or expires individually.
 - Results are only accepted from the worker that holds the lease; a
-  late report from an expired lease is dropped (its trial rows would be
-  ignored anyway — trial ingestion is idempotent on the trial key).
+  late or repeated report from a worker that no longer holds it is
+  dropped (its trial rows would be ignored anyway — trial ingestion is
+  idempotent on the trial key).
 - A permanently failed unit marks its workload's sentinel ``skipped``
   (mirroring the parallel runner's worker-died-twice classification);
   the job still finalizes.
@@ -253,11 +253,14 @@ class CampaignScheduler:
         store transaction, and every fresh unit in the batch shares one
         lease clock reading — a batch expires as a whole, not raggedly.
 
-        Units the worker already holds live leases on come first: a
-        batched lease response lost in transit must be re-issued to the
-        retrying worker (same units, same attempts) — answering "idle"
-        would strand the grants until TTL expiry, or strand the job
-        outright if the worker exits believing the queue is empty.
+        Units the worker already holds live leases on come first, at the
+        same attempt. Worker names are stable across a restart: a
+        restarted ``repro serve`` names its loops ``local-0..N-1`` again,
+        and the leases its predecessor's loops held were re-armed at boot
+        (see :meth:`ResultStore.rearm_leases`). Re-issuing them hands
+        each loop its predecessor's units straight back, where an "idle"
+        answer would leave them to wait a full TTL and then spend an
+        attempt on the expiry.
         """
         if count < 1:
             raise ServiceError(f"lease count must be >= 1, got {count}")
@@ -326,27 +329,11 @@ class CampaignScheduler:
     def complete(
         self, job_id: str, unit_id: str, worker: str, result: dict
     ) -> bool:
-        """Ingest a finished unit's results. False when the lease is gone
-        (a late report after expiry-requeue); the results are dropped —
-        the retry attempt will regenerate the identical records.
-
-        Idempotent per (unit, worker): redelivery of a complete the
-        store already ingested — the signature of a response lost to the
-        network and retried, or an outbox replay racing its own original
-        — is *accepted* again (and counted) so the reporting worker
-        settles instead of spooling forever. A duplicate from a
-        *different* worker still bounces: its lease was forfeited and
-        its copy of the results is dropped."""
+        """Ingest a finished unit's results. False when ``worker`` does
+        not hold the unit's lease (a late report after expiry-requeue, or
+        a second complete of a unit already done); the results are
+        dropped — the retry attempt regenerates the identical records."""
         unit = self.store.unit(job_id, unit_id)
-        if (
-            unit is not None and unit["state"] == UNIT_DONE
-            and unit["worker"] == worker
-        ):
-            self.counters.bump("duplicate_completes")
-            self._emit(
-                job_id, "duplicate_complete", unit_id=unit_id, worker=worker
-            )
-            return True
         accepted = self.store.complete_unit(
             job_id, unit_id, worker,
             skip_reason=result.get("skip_reason"),
@@ -370,63 +357,6 @@ class CampaignScheduler:
             skip_reason=result.get("skip_reason"),
         )
         self._maybe_finalize(job_id)
-        return True
-
-    def complete_chunk(
-        self, job_id: str, unit_id: str, worker: str, result: dict,
-        index: int, count: int,
-    ) -> bool:
-        """Ingest one bounded chunk of a finishing unit's results.
-
-        A unit with many trials streams its ``outcomes`` back in
-        ``count`` chunks instead of one giant POST. Chunks ``0..count-2``
-        carry only an outcomes slice: they are ingested into the trial
-        store (idempotently — the trial key *is* the chunk's idempotency
-        key, so a duplicated or redelivered chunk can never
-        double-count) and refresh the lease, since a slow stream must
-        not expire mid-delivery. The final chunk carries the unit-level
-        result (skip reason, bit population, telemetry aggregate) plus
-        the last slice, and lands through the ordinary idempotent
-        :meth:`complete` path.
-
-        Partial chunks from a worker that no longer holds the lease
-        bounce (``False``) — the retry attempt regenerates identical
-        records — while redelivery after this worker's own complete was
-        ingested is accepted, mirroring :meth:`complete`.
-        """
-        if count < 1 or not 0 <= index < count:
-            raise ServiceError(
-                f"invalid chunk {index}/{count} for {job_id}/{unit_id}"
-            )
-        self.counters.bump("chunked_completes")
-        if index == count - 1:
-            return self.complete(job_id, unit_id, worker, result)
-        unit = self.store.unit(job_id, unit_id)
-        if unit is None:
-            raise ServiceError(f"no such unit: {job_id}/{unit_id}")
-        if unit["state"] == UNIT_DONE and unit["worker"] == worker:
-            # Redelivery of a chunk the store already has: settle the
-            # sender, exactly like a duplicate complete.
-            self.counters.bump("duplicate_completes")
-            return True
-        if unit["state"] != UNIT_LEASED or unit["worker"] != worker:
-            self.counters.bump("bounced_completes")
-            return False
-        new = self.store.add_trials(
-            job_id,
-            self._trial_rows(
-                job_id, result.get("outcomes", []),
-                unit.get("round", 0) or 0,
-            ),
-        )
-        self.store.heartbeat(
-            job_id, unit_id, worker, self.clock() + self.lease_ttl
-        )
-        self._emit(
-            job_id, "chunk_ingested",
-            unit_id=unit_id, worker=worker, chunk=index, chunks=count,
-            trials=new,
-        )
         return True
 
     def _trial_rows(

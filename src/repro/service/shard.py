@@ -19,8 +19,8 @@ turns out to be.
 Sharding finer than one unit per workload duplicates the workload's
 golden run and prefix walk in every unit — the classic
 throughput-versus-redundancy trade. One unit per workload (the default)
-matches the PR 1 parallel runner's work division; more shards buy
-horizontal scale across a worker fleet once trial counts dominate the
+matches the parallel runner's work division; more shards spread
+one workload over more pool processes once trial counts dominate the
 golden-run cost.
 """
 

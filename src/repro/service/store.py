@@ -2,7 +2,7 @@
 
 Everything the service knows lives here, in one SQLite database (or in
 memory for tests): submitted jobs and their specs, the work units they
-shard into (with lease state for the pull-based worker protocol), and
+shard into (with lease state for the pull-based lease protocol), and
 every trial outcome a worker has reported. Trial ingestion uses
 ``INSERT OR IGNORE`` on the ``(job, trial key)`` primary key, so a unit
 that is retried after a worker death or lease expiry can re-report its
@@ -11,8 +11,8 @@ at-least-once unit execution.
 
 The store is deliberately synchronous and single-threaded: the scheduler
 and every API handler run on one asyncio event loop, and only the trial
-*execution* is farmed out to worker processes, so there is exactly one
-writer and SQLite needs no cross-thread coordination.
+*execution* is farmed out to the pool's processes, so there is exactly
+one writer and SQLite needs no cross-thread coordination.
 """
 
 from __future__ import annotations
@@ -281,12 +281,11 @@ class ResultStore:
         """Return up to ``limit`` units ``worker`` already holds live
         leases on, refreshing them all to one new lease clock.
 
-        A lease response can be lost in transit; the worker's retry must
-        get the same units back rather than an idle signal, which would
-        strand the grants until TTL expiry (or strand the job outright,
-        for an exit-when-idle worker that quits believing the queue is
-        empty). The retry is the same attempt per unit, so ``attempts``
-        is not re-counted.
+        A restarted service names its pool loops as its predecessor did,
+        and :meth:`rearm_leases` kept the predecessor's leases alive, so
+        each loop gets its predecessor's units straight back instead of
+        waiting out the TTL. It is the same attempt per unit, so
+        ``attempts`` is not re-counted.
         """
         rows = self._conn.execute(
             "SELECT units.rowid AS unit_rowid, units.* FROM units "

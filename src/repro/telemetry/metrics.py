@@ -389,9 +389,9 @@ class CounterSet:
     """A named bundle of monotonic event counters with exact merge.
 
     The service-resilience analogue of :class:`CampaignMetrics`: the
-    scheduler and workers tally protocol-level events (lease expiries,
-    retries, duplicate completes, dead-letters) into one of these, shards
-    merge by integer addition, and ``/api/metrics`` serves the result.
+    scheduler tallies protocol-level events (leases, lease expiries,
+    requeues, dead-letters) into one of these, shards merge by integer
+    addition, and ``/api/metrics`` serves the result.
     Unknown names spring into existence at zero so adding a new counter
     never breaks an old reader, and serialization is a flat dict —
     the same greppable/diffable shape as every other telemetry entry.

@@ -25,7 +25,6 @@ from repro.util.bitops import (
     to_signed64,
     to_unsigned64,
 )
-from repro.util.retry import CircuitBreaker, RetryPolicy
 from repro.util.rng import DeterministicRng, derive_seed
 from repro.util.stats import (
     BinomialEstimate,
@@ -40,9 +39,7 @@ __all__ = [
     "MASK64",
     "BinomialEstimate",
     "CategoryCounter",
-    "CircuitBreaker",
     "DeterministicRng",
-    "RetryPolicy",
     "JournalError",
     "JournalWriter",
     "config_to_dict",

@@ -347,7 +347,7 @@ class TestUarchCampaignIdentity:
         self, tmp_path, config, gcc_bundle
     ):
         golden = uarch_campaign._run_golden(
-            gcc_bundle, config, inject_cycles=[400, 900]
+            gcc_bundle, config, snapshot_cycles=[400, 900]
         )
         assert isinstance(golden, UarchGoldenArtifact)
         cache = GoldenArtifactCache(str(tmp_path))

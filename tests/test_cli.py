@@ -220,7 +220,7 @@ class TestTelemetryCli:
 
 
 class TestServiceCli:
-    """The service-facing commands: submit, jobs, worker, serve."""
+    """The service-facing commands: submit, jobs, serve."""
 
     def test_submit_wait_and_inspect(self, tmp_path, capsys):
         from tests.test_service_api import running_service
@@ -254,25 +254,6 @@ class TestServiceCli:
             assert len(lines) == 3
             assert json.loads(lines[0])["kind"] == "trial"
 
-    def test_worker_cli_drains_service(self, tmp_path, capsys):
-        from tests.test_service_api import running_service
-
-        with running_service(tmp_path / "svc", workers=0) as (service, _):
-            assert main([
-                "submit", "arch", "--url", service.address,
-                "--trials", "6", "--workloads", "gcc",
-            ]) == 0
-            capsys.readouterr()
-            assert main([
-                "worker", "--url", service.address, "--name", "cli-worker",
-                "--exit-when-idle", "--poll", "0.05",
-            ]) == 0
-            assert "1 unit(s) completed" in capsys.readouterr().out
-            assert main([
-                "jobs", "job-000001", "--url", service.address
-            ]) == 0
-            assert "done" in capsys.readouterr().out
-
     def test_jobs_cancel(self, tmp_path, capsys):
         from tests.test_service_api import running_service
 
@@ -303,6 +284,8 @@ class TestServiceCli:
     def test_serve_validation(self):
         with pytest.raises(SystemExit, match="--workers"):
             main(["serve", "--workers", "-1"])
+        with pytest.raises(SystemExit, match="--workers must be >= 1"):
+            main(["serve", "--workers", "0"])
         with pytest.raises(SystemExit, match="--lease-ttl"):
             main(["serve", "--lease-ttl", "0"])
         with pytest.raises(SystemExit, match="--max-attempts"):

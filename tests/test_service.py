@@ -339,18 +339,20 @@ class TestSchedulerEndToEnd:
 
 
 class TestDuplicateCompletes:
-    def test_redelivery_from_same_worker_is_idempotent(self, scheduler):
-        """A complete whose response was lost and retried (or replayed
-        from the outbox) must settle, not bounce forever."""
+    def test_second_complete_from_the_same_worker_bounces(self, scheduler):
+        """Completing a unit ends the worker's lease, so a second
+        complete bounces like any report from a worker without one."""
         scheduler.submit(make_spec())
         [lease] = scheduler.lease_batch("w0", 1)
         unit = lease["unit"]
         result = execute_unit(lease["spec"], unit)
         assert scheduler.complete(unit["job_id"], unit["unit_id"], "w0", result)
         trials = scheduler.job_view(unit["job_id"])["trials"]
-        assert scheduler.complete(unit["job_id"], unit["unit_id"], "w0", result)
+        assert not scheduler.complete(
+            unit["job_id"], unit["unit_id"], "w0", result
+        )
         assert scheduler.job_view(unit["job_id"])["trials"] == trials
-        assert scheduler.counters["duplicate_completes"] == 1
+        assert scheduler.counters["bounced_completes"] == 1
 
     def test_duplicate_from_another_worker_still_bounces(self, scheduler):
         scheduler.submit(make_spec())
@@ -366,9 +368,9 @@ class TestDuplicateCompletes:
 
 class TestLeaseReissue:
     def test_lease_retry_gets_the_same_unit_back(self, scheduler):
-        """A lease whose response was lost and retried is re-issued to
-        the same worker — same unit, same attempt — instead of an idle
-        answer that strands the grant until TTL expiry."""
+        """A worker that asks again while it holds a live lease gets that
+        lease re-issued — same unit, same attempt — instead of an idle
+        answer that leaves the unit waiting out its TTL."""
         scheduler.submit(make_spec(
             config={**CONFIG_OPTIONS, "workloads": ["gcc", "gzip"]}
         ))
@@ -547,6 +549,36 @@ class TestRestartRecovery:
         run_campaign("arch", spec.config, journal_path=serial_path)
         with open(view["journal_path"]) as f, open(serial_path) as g:
             assert f.read() == g.read()
+        store.close()
+
+    def test_restarted_pool_loop_gets_its_live_lease_back(self, tmp_path):
+        """A restarted ``repro serve`` names its pool loops
+        ``local-0..N-1`` again, so the lease ``local-0`` held at the
+        restart comes straight back to the new ``local-0``: at once, at
+        the same attempt, with no TTL wait and no attempt spent."""
+        db = str(tmp_path / "service.sqlite")
+        store = ResultStore(db)
+        sched = CampaignScheduler(
+            store, str(tmp_path), lease_ttl=60.0, clock=FakeClock()
+        )
+        sched.submit(make_spec(
+            config={**CONFIG_OPTIONS, "workloads": ["gcc", "gzip"]}
+        ))
+        [held] = sched.lease_batch("local-0", 1)
+        store.close()
+
+        store = ResultStore(db)
+        sched = CampaignScheduler(
+            store, str(tmp_path), lease_ttl=60.0, clock=FakeClock(start=3.0)
+        )
+        [again] = sched.lease_batch("local-0", 1)
+        assert again["unit"] == held["unit"]
+        assert again["attempt"] == held["attempt"] == 1
+        assert sched.counters["lease_reissues"] == 1
+        assert sched.counters["leases_granted"] == 0  # nothing fresh
+        # The other loop gets the next unit, not local-0's.
+        [other] = sched.lease_batch("local-1", 1)
+        assert other["unit"] != held["unit"]
         store.close()
 
 

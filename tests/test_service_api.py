@@ -1,4 +1,5 @@
-"""The campaign service over HTTP: API routes, workers, end-to-end runs."""
+"""The campaign service over HTTP: API routes, the local pool, end-to-end
+runs."""
 
 import asyncio
 import contextlib
@@ -13,10 +14,11 @@ from repro.campaign import run_campaign, summarize_journal, format_status
 from repro.service import (
     CampaignScheduler,
     CampaignService,
+    JobSpec,
     LocalWorkerPool,
-    RemoteWorker,
     ResultStore,
     ServiceClientError,
+    execute_unit,
 )
 from repro.service.client import ServiceClient
 
@@ -127,44 +129,60 @@ class TestEndToEnd:
         ][-1]
         assert tail["kind"] == "telemetry" and metrics == tail
 
-    def test_remote_worker_drains_the_queue_over_http(self, tmp_path):
-        with running_service(tmp_path / "svc", workers=0) as (service, _):
-            client = ServiceClient(service.address)
-            view = client.submit(submit_payload(
-                config={**CONFIG_OPTIONS, "workloads": ["gcc"]}, shards=2
-            ))
-            worker = RemoteWorker(
-                ServiceClient(service.address), "remote-1",
-                exit_when_idle=True, poll_interval=0.05,
-            )
-            assert worker.run() == 2
-            final = client.job(view["job_id"])
-            assert final["state"] == "done"
-            assert final["outcomes"].get("ok", 0) > 0
-
     def test_killed_worker_lease_expires_and_job_still_finishes(self, tmp_path):
-        """A worker leases a unit over HTTP and is killed (never reports,
-        never heartbeats): the sweeper requeues the unit after the TTL
-        and a healthy worker finishes the job."""
-        with running_service(
-            tmp_path / "svc", workers=0, lease_ttl=0.3, sweep_interval=0.05
-        ) as (service, scheduler):
-            client = ServiceClient(service.address)
-            view = client.submit(submit_payload(
-                config={**CONFIG_OPTIONS, "workloads": ["gcc"]}
-            ))
-            # The doomed worker takes the one unit and then dies.
-            assert len(client.lease_batch("doomed", 1)) == 1
+        """A worker leases a unit and is killed (never reports, never
+        heartbeats): the service's sweeper requeues the unit after the
+        TTL and the local pool finishes the job."""
+        store = ResultStore(":memory:")
+        scheduler = CampaignScheduler(store, str(tmp_path), lease_ttl=0.3)
+        spec = JobSpec.from_request(submit_payload(
+            config={**CONFIG_OPTIONS, "workloads": ["gcc"]}
+        ))
 
-            healthy = RemoteWorker(
-                ServiceClient(service.address), "healthy",
-                exit_when_idle=False, poll_interval=0.05, max_units=1,
+        async def wait_for(predicate):
+            for _ in range(600):  # 30 s
+                if predicate():
+                    return
+                await asyncio.sleep(0.05)
+
+        async def scenario():
+            service = CampaignService(scheduler, port=0, sweep_interval=0.05)
+            await service.start()
+            executor = ThreadPoolExecutor(max_workers=1)
+            pool = LocalWorkerPool(
+                scheduler, workers=1, poll_interval=0.05, executor=executor
             )
-            assert healthy.run() == 1
-            final = client.wait(view["job_id"], timeout=30)
+            try:
+                job_id = scheduler.submit(spec)["job_id"]
+                # The doomed worker takes the one unit and then dies. Only
+                # the sweeper can requeue it before the pool starts.
+                assert len(scheduler.lease_batch("doomed", 1)) == 1
+                await wait_for(lambda: any(
+                    e["event"] == "unit_requeued"
+                    for e in scheduler.events(job_id)
+                ))
+                pool.start()
+                await wait_for(
+                    lambda: scheduler.job_view(job_id)["state"] == "done"
+                )
+            finally:
+                await pool.stop()
+                executor.shutdown()
+                await service.stop()
+            return job_id
+
+        job_id = asyncio.run(scenario())
+        try:
+            final = scheduler.job_view(job_id)
             assert final["state"] == "done"
-            events = [e["event"] for e in scheduler.events(view["job_id"])]
-            assert "unit_requeued" in events
+            assert final["error"] is None
+            events = scheduler.events(job_id)
+            assert "unit_requeued" in [e["event"] for e in events]
+            assert [
+                e["worker"] for e in events if e["event"] == "unit_done"
+            ] == ["local-0"]
+        finally:
+            store.close()
 
 
 class TestApiContract:
@@ -204,34 +222,12 @@ class TestApiContract:
                 client.results(view["job_id"], offset=-1)
 
     def test_cancel_via_api(self, tmp_path):
-        with running_service(tmp_path, workers=0) as (service, _):
+        with running_service(tmp_path, workers=0) as (service, scheduler):
             client = ServiceClient(service.address)
             view = client.submit(submit_payload())
             cancelled = client.cancel(view["job_id"])
             assert cancelled["state"] == "cancelled"
-            assert client.lease_batch("w", 1) == []
-
-    def test_lease_has_one_response_shape(self, tmp_path):
-        """A missing ``count`` leases one unit; an idle queue answers the
-        same shape with no leases; a count outside 1..64 is a 400."""
-        with running_service(tmp_path, workers=0) as (service, _):
-            client = ServiceClient(service.address)
-            client.submit(submit_payload(
-                config={**CONFIG_OPTIONS, "workloads": ["gcc"]}
-            ))
-            granted = client._request("POST", "/api/lease", {"worker": "w"})
-            assert granted["count"] == 1
-            assert granted["leases"][0]["unit"]["unit_id"] == "gcc:0of1"
-            idle = client._request("POST", "/api/lease", {"worker": "w2"})
-            assert idle == {"leases": [], "count": 0}
-            for count in (0, 65, "2"):
-                with pytest.raises(
-                    ServiceClientError, match="lease count"
-                ) as info:
-                    client._request(
-                        "POST", "/api/lease", {"worker": "w", "count": count}
-                    )
-                assert info.value.status == 400
+            assert scheduler.lease_batch("w", 1) == []
 
     def test_job_listing_paginates(self, tmp_path):
         with running_service(tmp_path, workers=0) as (service, _):
@@ -244,10 +240,10 @@ class TestApiContract:
             assert page["total"] == 3 and len(page["jobs"]) == 1
 
     def test_service_metrics_route(self, tmp_path):
-        with running_service(tmp_path, workers=0) as (service, _):
+        with running_service(tmp_path, workers=0) as (service, scheduler):
             client = ServiceClient(service.address)
             view = client.submit(submit_payload())
-            assert client.lease_batch("w", 1)
+            assert scheduler.lease_batch("w", 1)
             metrics = client.service_metrics()
             assert metrics["jobs"] == 1
             assert metrics["dead_letter"] == 0
@@ -255,18 +251,20 @@ class TestApiContract:
             assert view["job_id"]  # the submission above is the one job
 
     def test_dead_letter_listing_and_requeue_over_http(self, tmp_path):
-        """Drive a unit to the dead-letter queue through the API, list
-        it, requeue it, and drain to a clean finish."""
-        with running_service(tmp_path / "svc", workers=0) as (service, _):
+        """Drive a unit to the dead-letter queue, then list it, requeue
+        it over the API, and drain to a clean finish."""
+        with running_service(
+            tmp_path / "svc", workers=0
+        ) as (service, scheduler):
             client = ServiceClient(service.address)
             view = client.submit(submit_payload(
                 config={**CONFIG_OPTIONS, "workloads": ["gcc"]}
             ))
             job_id = view["job_id"]
             for _ in range(2):  # exhaust the unit's attempt budget
-                [lease] = client.lease_batch("clumsy", 1)
+                [lease] = scheduler.lease_batch("clumsy", 1)
                 unit = lease["unit"]
-                client.fail(job_id, unit["unit_id"], "clumsy", "induced")
+                scheduler.fail(job_id, unit["unit_id"], "clumsy", "induced")
 
             listing = client.dead_letter()
             assert listing["total"] == 1
@@ -279,11 +277,11 @@ class TestApiContract:
             reopened = client.requeue(job_id, unit["unit_id"])
             assert reopened["state"] == "running"
             assert client.dead_letter()["total"] == 0
-            worker = RemoteWorker(
-                ServiceClient(service.address), "healthy",
-                exit_when_idle=True, poll_interval=0.05,
+            [lease] = scheduler.lease_batch("healthy", 1)
+            assert scheduler.complete(
+                job_id, unit["unit_id"], "healthy",
+                execute_unit(lease["spec"], lease["unit"]),
             )
-            assert worker.run() == 1
             final = client.wait(job_id, timeout=30)
             assert final["state"] == "done"
             assert final["error"] is None

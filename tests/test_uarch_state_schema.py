@@ -268,11 +268,11 @@ def restored_equals_walked(name: str, config: UarchCampaignConfig) -> int:
     :data:`STEP_CYCLES` more. Returns the number of points checked."""
     bundle = build_workload(name, config.workload_scale, config.seed)
     wrng = DeterministicRng(config.seed).child("uarch-campaign").child(name)
-    probe = uarch_campaign._run_golden(bundle, config, inject_cycles=None)
+    probe = uarch_campaign._run_golden(bundle, config, snapshot_cycles=None)
     assert probe.checkpoints == {}
     points = uarch_campaign._injection_points(wrng, config, probe.end_cycle)
     golden = uarch_campaign._run_golden(
-        bundle, config, inject_cycles=None, checkpoint_cycles=points
+        bundle, config, snapshot_cycles=None, checkpoint_cycles=points
     )
     assert sorted(golden.checkpoints) == points
 
